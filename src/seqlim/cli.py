@@ -32,7 +32,7 @@ from seqlim.limits import (
     franel_secondary,
     solve_vanishing_init,
 )
-from seqlim.recognize import recognize_constant
+from seqlim.recognize import CATALOG_NAMES, recognize_constant
 from seqlim.recurrence import (
     InitialConditions,
     InsufficientTerms,
@@ -219,6 +219,8 @@ def cmd_guess(args) -> Report:
     report = Report("guess")
     if bool(args.terms_from) == bool(args.terms_file):
         raise UsageError("give exactly one of --terms-from or --terms-file")
+    if args.max_order < 1 or args.max_degree < 0:
+        raise UsageError("--max-order must be >= 1 and --max-degree >= 0")
     needed = (args.max_order + 1) * (args.max_degree + 1) + args.max_order + 15
     count = args.n_terms or needed
     if args.terms_from:
@@ -252,6 +254,9 @@ def cmd_limit(args) -> Report:
     primary, secondary, rec, spec = _solution_pair(args)
     if args.digits < 10:
         raise UsageError("--digits must be >= 10")
+    names = args.recognize.split(",") if args.recognize else []
+    if any(n not in CATALOG_NAMES for n in names):
+        raise UsageError(f"unknown constant in {args.recognize!r}; known: {', '.join(CATALOG_NAMES)}")
     scale = _fraction(args.scale) if args.scale else Fraction(1)
     report.inputs = {"rec": spec, "digits": str(args.digits), "scale": str(scale)}
     started = time.perf_counter()
@@ -267,8 +272,7 @@ def cmd_limit(args) -> Report:
     report.diagnostics["difference_ratio"] = conv.difference_ratio.str_digits(12)
     report.diagnostics["digit_agreement"] = [f"{n}:{d}" for n, d in conv.digit_agreement]
     report.diagnostics["elapsed_seconds"] = f"{time.perf_counter() - started:.3f}"
-    if args.recognize:
-        names = args.recognize.split(",")
+    if names:
         form = recognize_constant(estimate, names)
         if form is None:
             raise ComputationFailed(
@@ -291,6 +295,8 @@ def cmd_conjecture(args) -> Report:
         lo, hi = int(lo), int(hi or lo)
     except ValueError:
         raise UsageError(f"bad --d-range {args.d_range!r}; use LO..HI")
+    if args.digits < 10:
+        raise UsageError("--digits must be >= 10")
     if args.name == "franel-zeta2" and not 3 <= lo <= hi <= 10:
         raise UsageError("franel-zeta2 supports d in 3..10")
     if args.name == "franel-zeta4" and not 5 <= lo <= hi <= 10:

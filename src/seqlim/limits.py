@@ -403,10 +403,11 @@ def _negative_index_rows(rec: Recurrence) -> list[list[Fraction]]:
     m = rec.order
     rows = []
     for j in range(1, m + 1):
+        cs = rec.coeffs_at(-j)
         row = [Fraction(0)] * m
         for k in range(j, m + 1):
             if k - j < m:
-                row[k - j] += rec.coeffs[k](Fraction(-j))
+                row[k - j] += cs[k]
         rows.append(row)
     return rows
 
@@ -477,48 +478,48 @@ class VanishingSolve:
     init_values: tuple[Fraction, ...]
 
 
-def _float_quotient_limit(rec: Recurrence, init: Sequence[Fraction],
-                          primary_init: Sequence[Fraction], precision: int,
-                          max_terms: int = 6000) -> BigFloat:
-    """lim u(n)/a(n) by parallel forward stepping in guarded float arithmetic.
+def _float_quotient_limits(rec: Recurrence, inits: Sequence[Sequence[Fraction]],
+                           primary_init: Sequence[Fraction], precision: int,
+                           max_terms: int = 6000) -> list[BigFloat]:
+    """lim u(n)/a(n) for every initial vector in ``inits``, in one forward pass.
 
-    Forward evaluation tracks the dominant solution, so relative error stays
-    near the working precision; the loop extends until five extra steps move
-    the quotient by less than the requested tolerance.
+    The primary a(n) and every u(n) step together in guarded float
+    arithmetic and share one integer coefficient row per step.  Forward
+    evaluation tracks the dominant solution, so relative error stays near
+    the working precision.  Each u keeps its own stopping rule: at the
+    first checkpoint where five extra steps moved its quotient by less than
+    the requested tolerance its limit is recorded and it stops stepping.
     """
     m = rec.order
     dps = precision + 40
     with mpmath.workdps(dps):
-        u = [mpf(Fraction(v).numerator) / mpf(Fraction(v).denominator) for v in init]
-        a = [mpf(Fraction(v).numerator) / mpf(Fraction(v).denominator) for v in primary_init]
-        coeff_cache = {}
-
-        def coeffs_at(n):
-            if n not in coeff_cache:
-                coeff_cache[n] = [int(c(Fraction(n))) for c in rec.coeffs]
-            return coeff_cache[n]
-
+        a, *us = [[mpf(Fraction(v).numerator) / mpf(Fraction(v).denominator)
+                   for v in values] for values in [primary_init, *inits]]
+        last, out = [None] * len(us), [None] * len(us)
+        active = list(range(len(us)))
         tol = mpf(10) ** (-(precision + 8))
         n = m - 1
-        last = None
         checkpoint = max(2 * m, 12)
         while n < max_terms:
-            cs = coeffs_at(n - m + 1)
-            acc_u = mpf(0)
-            acc_a = mpf(0)
-            for k in range(m):
-                acc_u += cs[k] * u[n - m + 1 + k]
-                acc_a += cs[k] * a[n - m + 1 + k]
-            u.append(-acc_u / cs[m])
-            a.append(-acc_a / cs[m])
+            base = n - m + 1
+            cs = rec.coeffs_at(base)
+            for seq in [a] + [us[j] for j in active]:
+                acc = mpf(0)
+                for k in range(m):
+                    acc += cs[k] * seq[base + k]
+                seq.append(-acc / cs[m])
             n += 1
             if n >= checkpoint:
                 if a[n] == 0:
                     raise ZeroDenominatorTerm(n)
-                cur = u[n] / a[n]
-                if last is not None and abs(cur - last) < tol:
-                    return BigFloat(cur, precision)
-                last = cur
+                for j in list(active):
+                    cur = us[j][n] / a[n]
+                    if last[j] is not None and abs(cur - last[j]) < tol:
+                        out[j] = BigFloat(cur, precision)
+                        active.remove(j)
+                    last[j] = cur
+                if not active:
+                    return out
                 checkpoint = n + 5
         raise NotConverging(f"quotient still moving after {max_terms} terms")
 
@@ -554,8 +555,7 @@ def solve_vanishing_init(rec: Recurrence, primary_init: Sequence[Fraction],
     discovery = max(precision, 10 * (m + 2), 70)
     solution = None
     while True:
-        limits = [_float_quotient_limit(rec, init, primary_init, discovery)
-                  for init in inits]
+        limits = _float_quotient_limits(rec, inits, primary_init, discovery)
         solution = _cancel_by_recognition(limits, basis_names, target, nfree)
         if solution is None:
             solution = _cancel_by_direct_relation(limits, target, nfree, discovery)
@@ -571,7 +571,7 @@ def solve_vanishing_init(rec: Recurrence, primary_init: Sequence[Fraction],
 
     t_values, lam = solution
     init = [Fraction(0), Fraction(1)] + list(t_values)
-    check = _float_quotient_limit(rec, init, primary_init, precision)
+    check, = _float_quotient_limits(rec, [init], primary_init, precision)
     with mpmath.workdps(precision + 10):
         expected = eval_constant(target, precision).val \
             * mpf(lam.numerator) / mpf(lam.denominator)
@@ -631,8 +631,7 @@ def _relation_survives(solution, rec, inits, primary_init, target, precision):
     limits 40 digits deeper, so this is the false-positive filter.
     """
     t_values, lam = solution
-    limits = [_float_quotient_limit(rec, init, primary_init, precision)
-              for init in inits]
+    limits = _float_quotient_limits(rec, inits, primary_init, precision)
     with mpmath.workdps(precision + 10):
         acc = limits[0].val
         for t, lv in zip(t_values, limits[1:]):

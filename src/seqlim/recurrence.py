@@ -4,9 +4,12 @@ A recurrence is stored in the unnormalized integer form
 
     c_d(n) u(n+d) + ... + c_1(n) u(n+1) + c_0(n) u(n) = 0,
 
-with the relation asserted for every n >= offset.  The monic normalization
-p_k(n) = c_k(n)/c_d(n) is available as a derived view.  Solutions are exact
-rational sequences cached in a :class:`SolutionTable`.
+with the relation asserted for every n >= offset.  The c_k are kept as
+:class:`Poly` for symbolic work and, stored at construction, as rows of
+Python ints that :meth:`Recurrence.coeffs_at` evaluates by integer Horner;
+every stepping loop reads its coefficients from that one kernel.  The monic
+normalization p_k(n) = c_k(n)/c_d(n) is available as a derived view.
+Solutions are exact rational sequences cached in a :class:`SolutionTable`.
 
 The module also provides Casoratian (discrete Wronskian) computations,
 characteristic polynomials and their complex roots, growth classification
@@ -95,10 +98,11 @@ class Recurrence:
     """Order-d relation sum(c_k(n) u(n+k), k=0..d) = 0 for n >= offset.
 
     Coefficients are normalized to integer polynomials with overall content
-    removed and positive leading coefficient on c_d.
+    removed and positive leading coefficient on c_d; their integer rows are
+    stored too (highest power first) and evaluated by :meth:`coeffs_at`.
     """
 
-    __slots__ = ("order", "coeffs", "offset")
+    __slots__ = ("order", "coeffs", "offset", "_rows")
 
     def __init__(self, coeffs: Sequence[Poly], offset: int = 0):
         coeffs = [c if isinstance(c, Poly) else Poly.const(c) for c in coeffs]
@@ -121,9 +125,21 @@ class Recurrence:
         object.__setattr__(self, "order", len(coeffs) - 1)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "offset", int(offset))
+        object.__setattr__(self, "_rows", tuple(
+            tuple(int(q) for q in reversed(c.coeffs)) for c in coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Recurrence is immutable")
+
+    def coeffs_at(self, n: int) -> list[int]:
+        """[c_0(n), ..., c_d(n)] for an integer n, by integer Horner."""
+        out = []
+        for row in self._rows:
+            acc = 0
+            for c in row:
+                acc = acc * n + c
+            out.append(acc)
+        return out
 
     def p(self, k: int) -> RatFunc:
         """Monic-normalized coefficient p_k(n) = c_k(n) / c_d(n)."""
@@ -131,11 +147,7 @@ class Recurrence:
 
     def relation_value(self, terms, n: int):
         """sum(c_k(n) * terms[n+k]); zero iff the relation holds at n."""
-        acc = None
-        for k, c in enumerate(self.coeffs):
-            t = c(Fraction(n)) * terms[n + k]
-            acc = t if acc is None else acc + t
-        return acc
+        return sum(c * terms[n + k] for k, c in enumerate(self.coeffs_at(n)))
 
     def proportional_to(self, other: "Recurrence") -> bool:
         """Same relation up to an overall rational-function multiple."""
@@ -173,8 +185,8 @@ class InitialConditions:
 class SolutionTable:
     """A solution of a recurrence, lazily extended and cached exactly.
 
-    Cache extension is serialized by a lock; lookups of already-cached terms
-    are unsynchronized reads of an append-only dict.
+    Every read of the cache bound and every write to the cache (stepping,
+    or a term supplied by :meth:`with_term`) holds the lock.
     """
 
     def __init__(self, recurrence: Recurrence, init: InitialConditions):
@@ -196,18 +208,21 @@ class SolutionTable:
 
     def with_term(self, n: int, value) -> "SolutionTable":
         """Explicitly supply u(n); the escape hatch for singular leading steps."""
-        if n != self._top + 1:
-            raise ValueError(f"can only append the next term (n = {self._top + 1})")
-        self._terms[n] = Fraction(value)
-        self._top = n
+        with self._lock:
+            if n != self._top + 1:
+                raise ValueError(f"can only append the next term (n = {self._top + 1})")
+            self._terms[n] = Fraction(value)
+            self._top = n
         return self
 
     def term(self, n: int):
         """Exact u(n), extending the cache as needed."""
         if n < self.init.start_index:
             raise ValueError(f"term {n} precedes the initial conditions")
-        if n > self._top:
-            self.evaluate(n)
+        with self._lock:
+            if n <= self._top:
+                return self._terms[n]
+        self.evaluate(n)
         return self._terms[n]
 
     def evaluate(self, upto: int) -> list:
@@ -215,23 +230,19 @@ class SolutionTable:
         with self._lock:
             rec = self.recurrence
             d = rec.order
-            lead = rec.coeffs[-1]
+            terms = self._terms
             while self._top < upto:
                 m = self._top + 1
                 n = m - d
-                cd = lead(Fraction(n))
-                if cd == 0:
+                cs = rec.coeffs_at(n)
+                if cs[d] == 0:
                     raise SingularLeadingCoefficient(n)
-                acc = None
-                for k in range(d):
-                    t = rec.coeffs[k](Fraction(n)) * self._terms[n + k]
-                    acc = t if acc is None else acc + t
-                self._terms[m] = -acc / cd
+                acc = cs[0] * terms[n]
+                for k in range(1, d):
+                    acc += cs[k] * terms[n + k]
+                terms[m] = -acc / cs[d]
                 self._top = m
-        return [self._terms[i] for i in range(self.init.start_index, upto + 1)]
-
-    def known_through(self) -> int:
-        return self._top
+            return [terms[i] for i in range(self.init.start_index, upto + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -353,11 +364,6 @@ class CharRoots:
 
     def __setattr__(self, name, value):
         raise AttributeError("CharRoots is immutable")
-
-    def root_pairs(self) -> list[tuple[BigFloat, BigFloat]]:
-        """Roots as (real, imaginary) BigFloat pairs."""
-        return [(BigFloat(mpf(z.real), self.precision), BigFloat(mpf(z.imag), self.precision))
-                for z in self.roots]
 
     def __repr__(self):
         with mpmath.workdps(8):
@@ -613,20 +619,6 @@ def _candidate_from_vector(vec: list[Fraction], order: int, degree: int) -> list
     return polys
 
 
-def _verify_relation(polys: list[Poly], ints: Sequence[int], order: int) -> bool:
-    coeff_ints = [[c.numerator for c in poly.coeffs] for poly in polys]
-    for n in range(len(ints) - order):
-        total = 0
-        for k, cs in enumerate(coeff_ints):
-            acc = 0
-            for c in reversed(cs):
-                acc = acc * n + c
-            total += acc * ints[n + k]
-        if total:
-            return False
-    return True
-
-
 def _reconstruct_candidate(ints, order, degree, rows, free_index, max_primes=48):
     """CRT nullspace vectors across primes until rational reconstruction verifies."""
     ref_pivots = None
@@ -713,8 +705,10 @@ def guess_recurrence(terms: Sequence, max_order: int, max_degree: int) -> Recurr
                 cand = _reconstruct_candidate(ints, order, degree, rows, free_index)
                 if cand is None:
                     continue
-                if _verify_relation(cand, ints, order):
-                    return Recurrence(cand, offset=0)
+                rec = Recurrence(cand, offset=0)
+                if all(rec.relation_value(ints, n) == 0
+                       for n in range(total - order)):
+                    return rec
     return None
 
 

@@ -60,6 +60,18 @@ class TestGuess:
         assert code == 1
         assert "no recurrence" in err
 
+    def test_negative_max_degree_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "guess", "--terms-from", "delannoy",
+                               "--max-order", "2", "--max-degree", "-1")
+        assert code == 2
+        assert "--max-degree" in err
+
+    def test_zero_max_order_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "guess", "--terms-from", "delannoy",
+                               "--max-order", "0", "--max-degree", "3")
+        assert code == 2
+        assert "--max-order" in err
+
     def test_insufficient_terms(self, capsys, tmp_path):
         path = tmp_path / "terms.txt"
         path.write_text("1 2 4")
@@ -107,6 +119,12 @@ class TestLimit:
         assert code == 1
         assert "not recognized" in err
 
+    def test_unknown_constant_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "limit", "--rec", "delannoy",
+                               "--digits", "20", "--recognize", "nosuch")
+        assert code == 2
+        assert "nosuch" in err
+
 
 class TestCf:
     def test_log_convergents(self, capsys):
@@ -144,6 +162,12 @@ class TestConjecture:
                                "--d-range", "3..4", "--digits", "30")
         assert code == 0
         assert "overall: pass" in out
+
+    def test_too_few_digits_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "conjecture", "--name", "franel-zeta2",
+                               "--d-range", "3..3", "--digits", "5")
+        assert code == 2
+        assert "--digits" in err
 
     def test_bad_range(self, capsys):
         code, _, _ = run_cli(capsys, "conjecture", "--name", "franel-zeta4",

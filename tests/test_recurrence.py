@@ -1,10 +1,14 @@
+import threading
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
-from seqlim.arith import Poly, RatFunc
+from seqlim.arith import BigFloat, Poly, RatFunc
+from seqlim.limits import _float_quotient_limits
 from seqlim.recurrence import (
     DivergentCoefficient,
     EqualModuli,
@@ -33,6 +37,7 @@ from seqlim.sums import (
     delannoy_x_recurrence,
     family_pair,
     family_terms,
+    guessed_family_recurrence,
 )
 
 F = Fraction
@@ -46,6 +51,93 @@ def delannoy():
 @pytest.fixture(scope="module")
 def apery():
     return family_pair(FamilySpec("apery3"))
+
+
+def _catalog_recurrences():
+    recs = [delannoy_recurrence(), delannoy_x_recurrence(F(5, 3)),
+            apery3_recurrence(), arctan_recurrence()]
+    return recs + [guessed_family_recurrence(FamilySpec("franel", d=d))
+                   for d in range(3, 9)]
+
+
+class TestCoefficientKernel:
+    def test_matches_poly_evaluation_on_catalog(self):
+        for rec in _catalog_recurrences():
+            for n in range(-5, 301):
+                got = rec.coeffs_at(n)
+                assert all(type(c) is int for c in got)
+                assert got == [c(F(n)) for c in rec.coeffs]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.fractions(-1000, 1000, max_denominator=50),
+                             min_size=0, max_size=6),
+                    min_size=2, max_size=5),
+           st.integers(-40, 40))
+    def test_matches_poly_evaluation_on_random_inputs(self, rows, n):
+        polys = [Poly(r) for r in rows]
+        if polys[-1].is_zero:
+            polys[-1] = Poly([1])
+        rec = Recurrence(polys)
+        got = rec.coeffs_at(n)
+        assert all(type(c) is int for c in got)
+        assert got == [c(F(n)) for c in rec.coeffs]
+        # the stored rows are one fixed rational multiple of the input
+        scale = rec.coeffs[-1].leading / polys[-1].leading
+        assert got == [scale * p(F(n)) for p in polys]
+
+    @pytest.mark.parametrize("root", [-3, 0, 2, 7])
+    def test_singular_leading_step(self, root):
+        # order 3 with leading coefficient (n - root)(n + 10)
+        lead = Poly([-root, 1]) * Poly([10, 1])
+        rec = Recurrence([Poly([1]), Poly([0, 1]), Poly([2]), lead], offset=-5)
+        tab = SolutionTable(rec, InitialConditions(-5, [1, 2, 3]))
+        with pytest.raises(SingularLeadingCoefficient) as err:
+            tab.evaluate(20)
+        assert err.value.n == root
+        tab.with_term(root + 3, 0)  # the blocked value, supplied explicitly
+        assert len(tab.evaluate(root + 5)) == root + 11
+
+
+def _one_vector_reference(rec, init, primary_init, precision, max_terms=6000):
+    """Quotient limit by stepping one vector with Fraction-Horner coefficients."""
+    m = rec.order
+    with mpmath.workdps(precision + 40):
+        u = [mpf(F(v).numerator) / mpf(F(v).denominator) for v in init]
+        a = [mpf(F(v).numerator) / mpf(F(v).denominator) for v in primary_init]
+        tol = mpf(10) ** (-(precision + 8))
+        n, last, checkpoint = m - 1, None, max(2 * m, 12)
+        while n < max_terms:
+            cs = [int(c(F(n - m + 1))) for c in rec.coeffs]
+            acc_u = acc_a = mpf(0)
+            for k in range(m):
+                acc_u += cs[k] * u[n - m + 1 + k]
+                acc_a += cs[k] * a[n - m + 1 + k]
+            u.append(-acc_u / cs[m])
+            a.append(-acc_a / cs[m])
+            n += 1
+            if n >= checkpoint:
+                cur = u[n] / a[n]
+                if last is not None and abs(cur - last) < tol:
+                    return BigFloat(cur, precision)
+                last = cur
+                checkpoint = n + 5
+    raise AssertionError("reference stepping did not converge")
+
+
+class TestBatchedQuotientLimits:
+    @pytest.mark.parametrize("d,precision", [(5, 40), (7, 70), (9, 112)])
+    def test_batch_equals_one_vector_runs(self, d, precision):
+        rec = guessed_family_recurrence(FamilySpec("franel", d=d))
+        m = rec.order
+        a_init = family_terms(FamilySpec("franel", d=d), m - 1)
+        inits = [[F(0), F(1)] + [F(0)] * (m - 2)]
+        inits += [[F(int(i == j)) for i in range(m)] for j in range(2, m)]
+        batch = _float_quotient_limits(rec, inits, a_init, precision)
+        for init, got in zip(inits, batch):
+            alone, = _float_quotient_limits(rec, [init], a_init, precision)
+            assert got.val == alone.val and got.precision == alone.precision
+            ref = _one_vector_reference(rec, init, a_init, precision)
+            assert got.val == ref.val and got.precision == ref.precision
 
 
 class TestEvaluate:
@@ -298,23 +390,44 @@ class TestRescale:
 
 
 class TestConcurrency:
+    @pytest.mark.parametrize("call", [lambda tab: tab.with_term(2, 5),
+                                      lambda tab: tab.term(1)],
+                             ids=["with_term", "term"])
+    def test_cache_access_waits_for_the_lock(self, call):
+        tab = SolutionTable(delannoy_recurrence(), InitialConditions(0, [1, 3]))
+        done = threading.Event()
+        worker = threading.Thread(target=lambda: (call(tab), done.set()))
+        with tab._lock:
+            worker.start()
+            assert not done.wait(0.2)
+        worker.join(5)
+        assert not worker.is_alive() and done.is_set()
+
     def test_parallel_extension_is_consistent(self):
-        import threading
+        import sys
 
         a = SolutionTable(delannoy_recurrence(), InitialConditions(-1, [0, 1]))
         errors = []
 
-        def extend():
+        def extend(step):
             try:
+                for n in range(step, 401, step):
+                    a.term(n)
                 a.evaluate(400)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
-        threads = [threading.Thread(target=extend) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        threads = [threading.Thread(target=extend, args=(s,)) for s in (1, 3, 7, 50, 400)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         fresh = SolutionTable(delannoy_recurrence(), InitialConditions(-1, [0, 1]))
         assert a.evaluate(400) == fresh.evaluate(400)
