@@ -39,6 +39,7 @@ from seqlim.recurrence import (
     Recurrence,
     SolutionTable,
     guess_recurrence,
+    guess_window,
     recurrence_from_text,
     recurrence_to_text,
 )
@@ -241,7 +242,7 @@ def cmd_guess(args) -> Report:
         raise UsageError(str(exc))
     if rec is None:
         raise ComputationFailed("no recurrence found within the given bounds")
-    holdout = len(terms) - rec.order - ((rec.order + 1) * (max(c.degree for c in rec.coeffs) + 1) + 10)
+    holdout = len(terms) - rec.order - guess_window(len(terms), rec.order, args.max_degree)[1]
     report.results["recurrence"] = recurrence_to_text(rec)
     report.results["order"] = str(rec.order)
     report.results["degree"] = str(max(c.degree for c in rec.coeffs))
@@ -251,12 +252,15 @@ def cmd_guess(args) -> Report:
 
 def cmd_limit(args) -> Report:
     report = Report("limit")
-    primary, secondary, rec, spec = _solution_pair(args)
     if args.digits < 10:
         raise UsageError("--digits must be >= 10")
     names = args.recognize.split(",") if args.recognize else []
     if any(n not in CATALOG_NAMES for n in names):
         raise UsageError(f"unknown constant in {args.recognize!r}; known: {', '.join(CATALOG_NAMES)}")
+    if names and args.digits < 10 * (len(names) + 1):
+        raise UsageError(f"--digits must be >= {10 * (len(names) + 1)} to recognize "
+                         f"over {len(names)} basis constants")
+    primary, secondary, rec, spec = _solution_pair(args)
     scale = _fraction(args.scale) if args.scale else Fraction(1)
     report.inputs = {"rec": spec, "digits": str(args.digits), "scale": str(scale)}
     started = time.perf_counter()

@@ -38,8 +38,8 @@ from seqlim.recurrence import (
     SolutionTable,
     casoratian,
 )
-from seqlim.recognize import SymbolicForm, eval_constant, integer_relation, recognize_constant
-from seqlim.sums import FamilySpec, eval_family, guessed_family_recurrence
+from seqlim.recognize import eval_constant, integer_relation, recognize_constant
+from seqlim.sums import FamilySpec, guessed_family_recurrence
 
 
 class LimitError(Exception):

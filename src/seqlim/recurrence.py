@@ -13,15 +13,20 @@ Solutions are exact rational sequences cached in a :class:`SolutionTable`.
 
 The module also provides Casoratian (discrete Wronskian) computations,
 characteristic polynomials and their complex roots, growth classification
-of solutions by characteristic root, recurrence guessing from initial
-terms, and rescaling of recurrences by factorial-type factors.
+of solutions by characteristic root, rescaling of recurrences by
+factorial-type factors, and recurrence guessing from initial terms.  The
+guesser orders its unknowns degree-major, so one int64 elimination per
+order and prime gives the nullity at every degree; the elimination reduces
+lazily, under the bound steps*(p-1)**2 + p < 2**63.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, takewhile
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
@@ -523,46 +528,56 @@ def _modular_primes(count: int) -> list[int]:
 _GUESS_PRIMES = _modular_primes(64)
 
 
-def _rref_mod(matrix: np.ndarray, p: int):
-    """Reduced row echelon form mod p; returns (pivot columns, reduced rows)."""
-    a = matrix % p
+def _echelon_mod(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Row echelon form mod p < 2**31 by forward elimination, pivots scaled to 1.
+
+    Overwrites ``a``; returns the pivot columns and the reduced pivot rows,
+    as int32 to halve what callers keep.  Each step reduces only its
+    pivot row and pivot column; the trailing block absorbs the unreduced
+    products, each below (p-1)**2.  Its entries start below p, so after s
+    steps they stay below s*(p-1)**2 + p, which must be < 2**63: the block
+    is reduced every K steps, the largest K that keeps the bound (K >= 8192
+    for p < 2**25, a handful of steps for p near 2**30).
+    """
+    a %= p
     rows, cols = a.shape
-    pivots = []
-    rank = 0
+    period = (2**63 - p - 1) // (p - 1) ** 2
+    pivots: list[int] = []
+    since = 0
     for col in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if a[r, col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        a[rank] = a[rank] * pow(int(a[rank, col]), p - 2, p) % p
-        others = a[:, col].copy()
-        others[rank] = 0
-        a = (a - np.outer(others, a[rank])) % p
-        pivots.append(col)
-        rank += 1
-        if rank == rows:
+        r = len(pivots)
+        if r == rows:
             break
-    return pivots, a
+        column = a[r:, col] % p
+        i = int(np.argmax(column != 0))
+        if not column[i]:
+            continue
+        if i:
+            a[[r, r + i]] = a[[r + i, r]]
+            column[[0, i]] = column[[i, 0]]
+        row = a[r, col:] % p
+        a[r, col:] = row * pow(int(row[0]), -1, p) % p
+        if since == period:
+            a[r + 1:, col + 1:] %= p
+            since = 0
+        a[r + 1:, col + 1:] -= np.outer(column[1:], a[r, col + 1:])
+        since += 1
+        pivots.append(col)
+    return pivots, a[:len(pivots)].astype(np.int32)
 
 
-def _nullspace_vectors_mod(matrix: np.ndarray, p: int):
-    """Nullspace basis mod p, one vector per free column (free coord = 1)."""
-    pivots, a = _rref_mod(matrix, p)
-    cols = matrix.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * cols
-        v[f] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = int((-a[i, f]) % p)
-        basis.append(v)
-    return pivots, free, basis
+def _null_vector_mod(ech: np.ndarray, pivots: list[int], f: int, p: int) -> list[int]:
+    """Nullspace vector with coordinate f = 1 and every other free one 0.
+
+    Back substitution gives the pivots right of f the value 0, so the vector
+    lives on columns 0..f and only the pivot rows left of f are read.
+    """
+    v = np.zeros(f + 1, dtype=np.int64)
+    v[f] = 1
+    for i in range(bisect_left(pivots, f) - 1, -1, -1):
+        c = pivots[i]
+        v[c] = -int((ech[i, c + 1:f + 1] * v[c + 1:] % p).sum()) % p
+    return v.tolist()
 
 
 def _rational_reconstruct(x: int, modulus: int) -> Fraction | None:
@@ -579,136 +594,112 @@ def _rational_reconstruct(x: int, modulus: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _crt_pair(a1: int, m1: int, a2: int, m2: int) -> tuple[int, int]:
-    inv = pow(m1, -1, m2)
-    x = (a1 + (a2 - a1) * inv % m2 * m1) % (m1 * m2)
-    return x, m1 * m2
+def guess_window(total: int, order: int, max_degree: int) -> tuple[int, int]:
+    """(degree cap, window rows) of the order-``order`` guessing system.
+
+    The cap keeps at least 5 relation indices beyond the unknown count (it
+    is negative when no degree fits); the window is the first unknowns+10 of
+    the total-order relation indices, and the rest are held out for the
+    exact check alone.
+    """
+    eqs = total - order
+    cap = min(max_degree, (eqs - 5) // (order + 1) - 1)
+    return cap, min((order + 1) * (cap + 1) + 10, eqs)
 
 
-def _window_rows(order: int, degree: int, eqs: int) -> int:
-    """Nullspace window size: the first unknowns+10 relation indices (capped)."""
-    return min((order + 1) * (degree + 1) + 10, eqs)
+def _window_matrix_mod(ints, order: int, rows: int, cols: int, p: int) -> np.ndarray:
+    """The first ``cols`` degree-major columns mod p: column j*(order+1)+k
+    holds n**j * u(n+k) for the relation indices n < rows."""
+    res = np.array([t % p for t in ints[:rows + order]], dtype=np.int64)
+    window = np.stack([res[k:k + rows] for k in range(order + 1)], axis=1)
+    out = np.empty((rows, cols), dtype=np.int64)
+    npow = np.ones(rows, dtype=np.int64)
+    for j in range(0, cols, order + 1):
+        out[:, j:j + order + 1] = (window * npow[:, None] % p)[:, :cols - j]
+        npow = npow * np.arange(rows) % p
+    return out
 
 
-def _window_matrix_mod(ints, order, degree, rows, p):
-    m = np.zeros((rows, (order + 1) * (degree + 1)), dtype=np.int64)
-    residues = [t % p for t in ints]
-    for n in range(rows):
-        npow = 1
-        for j in range(degree + 1):
-            for k in range(order + 1):
-                m[n, k * (degree + 1) + j] = npow * residues[n + k] % p
-            npow = npow * n % p
-    return m
+def _reconstruct_candidate(ints, order, rows, f, probes, max_primes=48):
+    """Coefficient polynomials from the free-column-f nullspace vector, or None.
 
-
-def _candidate_from_vector(vec: list[Fraction], order: int, degree: int) -> list[Poly] | None:
-    den = 1
-    for q in vec:
-        den = lcm(den, q.denominator)
-    ints = [int(q * den) for q in vec]
-    g = 0
-    for q in ints:
-        g = gcd(g, q)
-    if g == 0:
-        return None
-    ints = [q // g for q in ints]
-    polys = [Poly(ints[k * (degree + 1): (k + 1) * (degree + 1)]) for k in range(order + 1)]
-    if polys[-1].is_zero:
-        return None
-    return polys
-
-
-def _reconstruct_candidate(ints, order, degree, rows, free_index, max_primes=48):
-    """CRT nullspace vectors across primes until rational reconstruction verifies."""
-    ref_pivots = None
-    residue = None
-    modulus = None
+    The vector is lifted by CRT across primes (at most ``max_primes``) until
+    rational reconstruction succeeds.  The probe eliminations supply the
+    first residues; every further prime eliminates only columns 0..f, and a
+    prime whose pivots up to f differ from the first probe's is skipped.
+    """
+    ref = probes[0][1][:bisect_left(probes[0][1], f)]
+    further = ((p, *_echelon_mod(_window_matrix_mod(ints, order, rows, f + 1, p), p))
+               for p in _GUESS_PRIMES[len(probes):])
+    residue = modulus = None
     used = 0
-    for p in _GUESS_PRIMES:
-        pivots, free, basis = _nullspace_vectors_mod(
-            _window_matrix_mod(ints, order, degree, rows, p), p)
-        if not basis or free_index >= len(basis):
+    for p, pivots, ech in chain(probes, further):
+        if pivots[:bisect_right(pivots, f)] != ref:
             continue
-        if ref_pivots is None:
-            ref_pivots = pivots
-        elif pivots != ref_pivots:
-            continue
-        vec = basis[free_index]
+        vec = _null_vector_mod(ech, pivots, f, p)
         if residue is None:
             residue, modulus = vec, p
         else:
-            residue = [_crt_pair(a, modulus, b, p)[0] for a, b in zip(residue, vec)]
+            inv = pow(modulus, -1, p)
+            residue = [a + (b - a) * inv % p * modulus for a, b in zip(residue, vec)]
             modulus *= p
         used += 1
         if used >= 2:
-            recon = [_rational_reconstruct(x, modulus) for x in residue]
-            if all(r is not None for r in recon):
-                return _candidate_from_vector(recon, order, degree)
+            recon = list(takewhile(lambda q: q is not None, (
+                _rational_reconstruct(x, modulus) for x in residue)))
+            if len(recon) == len(residue):
+                polys = [Poly(recon[k::order + 1]) for k in range(order + 1)]
+                return None if polys[-1].is_zero else polys
         if used >= max_primes:
             break
     return None
 
 
-def _nullspace_dim(ints, order, degree, eqs) -> int:
-    """Nullspace dimension of the window system, agreed by two primes.
-
-    A primitive integer relation survives reduction mod any prime, so the
-    conservative min over two primes never misses a true recurrence.
-    """
-    rows = _window_rows(order, degree, eqs)
-    dims = []
-    for p in _GUESS_PRIMES[:2]:
-        _, _, basis = _nullspace_vectors_mod(
-            _window_matrix_mod(ints, order, degree, rows, p), p)
-        dims.append(len(basis))
-    return min(dims)
-
-
 def guess_recurrence(terms: Sequence, max_order: int, max_degree: int) -> Recurrence | None:
     """Minimal (order, then degree) integer recurrence annihilating ``terms``.
 
-    The nullspace is computed on a leading window of the term matrix using
-    modular arithmetic with rational reconstruction; every candidate is then
-    verified exactly against all supplied terms, so a wrong reconstruction
-    can only cause a miss, never a wrong answer.  Returns None when nothing
-    within the bounds survives.
+    Per order, column j*(order+1)+k of the window matrix holds the n**j
+    coefficient of c_k, so its first (order+1)(D+1) columns are the degree-D
+    system and one echelon form mod p (lazily reduced, see
+    :func:`_echelon_mod`) gives the nullity at every degree D.  The second
+    prime is eliminated only when the first shows a nullity, and the smaller
+    nullity counts, since a true integer relation survives mod every prime.
+    That many free columns are tried in increasing order, which is
+    increasing degree: each one's nullspace vector is lifted by CRT and
+    rational reconstruction, and the recurrence is verified exactly against
+    all terms, so a bad reconstruction can only cause a miss, never a wrong
+    answer.  Returns None when nothing within the bounds survives.
     """
     terms = [Fraction(t) for t in terms]
     total = len(terms)
     required = (max_order + 1) * (max_degree + 1) + max_order + 5
     if total < required:
         raise InsufficientTerms(required, total)
-    den = 1
-    for t in terms:
-        den = lcm(den, t.denominator)
+    den = lcm(*(t.denominator for t in terms))
     ints = [int(t * den) for t in terms]
     for order in range(1, max_order + 1):
-        eqs = total - order
-        # keep at least 5 equations beyond the unknown count
-        cap = min(max_degree, (eqs - 5) // (order + 1) - 1)
-        if cap < 0 or _nullspace_dim(ints, order, cap, eqs) == 0:
+        cap, rows = guess_window(total, order, max_degree)
+        if cap < 0:
             continue
-        lo, hi = 0, cap
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _nullspace_dim(ints, order, mid, eqs) > 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        for degree in range(lo, cap + 1):
-            dim = _nullspace_dim(ints, order, degree, eqs)
-            if dim == 0:
+        width = (order + 1) * (cap + 1)
+        probes = []
+        for p in _GUESS_PRIMES[:2]:
+            pivots, ech = _echelon_mod(_window_matrix_mod(ints, order, rows, width, p), p)
+            if len(pivots) == width:
+                break
+            probes.append((p, pivots, ech))
+        if len(probes) < 2:
+            continue
+        dim = width - max(len(pivots) for _, pivots, _ in probes)
+        pivot_set = set(probes[0][1])
+        free = [c for c in range(width) if c not in pivot_set]
+        for f in free[:dim]:
+            cand = _reconstruct_candidate(ints, order, rows, f, probes)
+            if cand is None:
                 continue
-            rows = _window_rows(order, degree, eqs)
-            for free_index in range(dim):
-                cand = _reconstruct_candidate(ints, order, degree, rows, free_index)
-                if cand is None:
-                    continue
-                rec = Recurrence(cand, offset=0)
-                if all(rec.relation_value(ints, n) == 0
-                       for n in range(total - order)):
-                    return rec
+            rec = Recurrence(cand, offset=0)
+            if all(rec.relation_value(ints, n) == 0 for n in range(total - order)):
+                return rec
     return None
 
 

@@ -103,13 +103,13 @@ def eval_family(spec: FamilySpec, n: int):
     if spec.symbolic_x:
         return Poly(terms)
     if fam.takes_x:
+        # sum t_k num^k den^(n-k) by homogeneous integer Horner, over den^n
         x = Fraction(spec.x)
-        acc = Fraction(0)
-        power = Fraction(1)
-        for t in terms:
-            acc += t * power
-            power *= x
-        return acc
+        acc, den_power = 0, 1
+        for t in reversed(terms):
+            acc = acc * x.numerator + t * den_power
+            den_power *= x.denominator
+        return Fraction(acc, x.denominator ** n)
     return Fraction(sum(terms))
 
 

@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
+import seqlim.cli
 from seqlim.cli import main, render_json
+from seqlim.recurrence import guess_window
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +43,17 @@ class TestGuess:
                                "--max-order", "2", "--max-degree", "3")
         assert code == 0
         assert "order: 2" in out
+
+    def test_franel4_holdout_is_outside_the_elimination_window(self, capsys):
+        code, out, _ = run_cli(capsys, "guess", "--terms-from", "franel", "--d", "4",
+                               "--n-terms", "60", "--max-order", "2",
+                               "--max-degree", "5", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["results"]["order"] == "2" and doc["results"]["degree"] == "3"
+        # 58 relation indices; the order-2 window covers 3 * (5 + 1) + 10 of them
+        assert guess_window(60, 2, 5) == (5, 28)
+        assert doc["diagnostics"]["holdout_checked"] == "30"
 
     def test_constant_sequence_from_file(self, capsys, tmp_path):
         path = tmp_path / "terms.txt"
@@ -124,6 +137,22 @@ class TestLimit:
                                "--digits", "20", "--recognize", "nosuch")
         assert code == 2
         assert "nosuch" in err
+
+    def test_too_few_digits_for_basis_is_usage_error(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("apery_limit ran before the usage check")
+
+        monkeypatch.setattr(seqlim.cli, "apery_limit", no_work)
+        code, _, err = run_cli(capsys, "limit", "--rec", "delannoy", "--digits", "10",
+                               "--recognize", "one,ln2,pi,zeta2,zeta3,catalan,L3")
+        assert code == 2
+        assert "--digits must be >= 80" in err
+
+    def test_basis_digit_threshold_is_accepted(self, capsys):
+        code, out, err = run_cli(capsys, "limit", "--rec", "delannoy", "--digits", "80",
+                                 "--recognize", "one,ln2,pi,zeta2,zeta3,catalan,L3")
+        assert code == 0, err
+        assert "1/2*ln2" in out
 
 
 class TestCf:

@@ -1,7 +1,9 @@
+import random
 import threading
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,9 @@ from seqlim.recurrence import (
     SingularLeadingCoefficient,
     SolutionTable,
     ZeroTail,
+    _GUESS_PRIMES,
+    _echelon_mod,
+    _null_vector_mod,
     casoratian,
     casoratian_check,
     characteristic_polynomial,
@@ -349,6 +354,89 @@ class TestGuessRecurrence:
         terms = [t / 7 for t in family_terms(FamilySpec("delannoy"), 24)]
         rec = guess_recurrence(terms, 2, 1)
         assert rec is not None and rec.proportional_to(delannoy_recurrence())
+
+
+def _reference_nullspace(matrix, p):
+    """Pivots and {free column: nullspace vector} from a plain full RREF mod p."""
+    a = [[x % p for x in row] for row in matrix]
+    cols = len(a[0])
+    pivots = []
+    for col in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][col], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    vectors = {}
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = -a[i][f] % p
+        vectors[f] = v
+    return pivots, vectors
+
+
+def _check_against_reference(matrix, p):
+    pivots, ech = _echelon_mod(np.array(matrix, dtype=np.int64), p)
+    ref_pivots, ref_vectors = _reference_nullspace(matrix, p)
+    assert pivots == ref_pivots
+    for f, ref in ref_vectors.items():
+        v = _null_vector_mod(ech, pivots, f, p)
+        assert v + [0] * (len(ref) - len(v)) == ref
+        assert all(sum(x * y for x, y in zip(row, v)) % p == 0 for row in matrix)
+    return pivots
+
+
+def _low_rank(rng, rows, cols, rank, p):
+    left = [[rng.randrange(p) for _ in range(rank)] for _ in range(rows)]
+    right = [[rng.randrange(p) for _ in range(cols)] for _ in range(rank)]
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)]
+            for row in left]
+
+
+#: A prime just below 2**30: (p-1)**2 is near 2**60, so the lazily reduced
+#: elimination must reduce its trailing block every 8 steps.
+_P30 = 1073741789
+
+
+class TestModularElimination:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 101, _GUESS_PRIMES[0]]),
+           st.integers(1, 7), st.integers(1, 7), st.integers(0, 2**32))
+    def test_matches_reference_small(self, p, rows, cols, seed):
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            matrix = _low_rank(rng, rows, cols, rng.randint(0, min(rows, cols)), p)
+        else:
+            matrix = [[rng.randrange(-3 * p, 3 * p) for _ in range(cols)]
+                      for _ in range(rows)]
+        _check_against_reference(matrix, p)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(40, 50), st.integers(0, 2**32))
+    def test_periodic_reduction_near_2_30(self, rank, seed):
+        # 40+ unreduced steps of products near 2**58 would overflow int64
+        rng = random.Random(seed)
+        matrix = _low_rank(rng, 60, 56, rank, _P30)
+        pivots = _check_against_reference(matrix, _P30)
+        # more pivots than the reduction period, so the trailing block was
+        # reduced mid-elimination
+        assert len(pivots) > (2**63 - _P30 - 1) // (_P30 - 1) ** 2
+
+    @pytest.mark.parametrize("d,order,degree", [
+        (3, 2, 2), (4, 2, 3), (5, 3, 6), (6, 3, 9), (7, 4, 16), (8, 4, 21),
+        (9, 5, 32), (10, 5, 41)])
+    def test_franel_order_and_minimal_degree(self, d, order, degree):
+        rec = guessed_family_recurrence(FamilySpec("franel", d=d))
+        assert (rec.order, max(c.degree for c in rec.coeffs)) == (order, degree)
 
 
 class TestRescale:

@@ -5,6 +5,7 @@ import pytest
 
 from seqlim.arith import Poly
 from seqlim.sums import (
+    FAMILIES,
     FamilySpec,
     InvalidParameter,
     apery3_recurrence,
@@ -48,6 +49,20 @@ class TestEvalFamily:
         assert eval_family(sq, 2) == 1 + 2 * 9 + 36  # 55
         cube = FamilySpec("delannoy_cube_x", x=F(2))
         assert eval_family(cube, 2) == 1 + 2 * 27 * 2 + 216 * 4
+
+    @pytest.mark.parametrize("name", [n for n, fam in FAMILIES.items() if fam.takes_x])
+    def test_x_families_match_fraction_power_sum(self, name):
+        # the integer accumulation equals the Fraction loop acc += t_k x^k
+        for x in ("1/2", "2/3", "3/4", "3/5", "4/5", "4/7", "5/6", "5/7", "5/8", "7/9",
+                  "-3/2", "0", "5"):
+            spec = FamilySpec(name, x=F(x))
+            for n in range(61):
+                expected, power = F(0), F(1)
+                for k in range(n + 1):
+                    expected += FAMILIES[name].summand(n, k) * power
+                    power *= F(x)
+                got = eval_family(spec, n)
+                assert type(got) is Fraction and got == expected, (name, x, n)
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameter):
