@@ -183,16 +183,6 @@ class BigFloat:
     def __repr__(self):
         return f"BigFloat({self.str_digits(min(self.precision, 25))!r}, {self.precision})"
 
-    def tolerance(self) -> mpf:
-        """10**-(precision - guard) -- the comparison tolerance at this precision."""
-        with mpmath.workdps(self.precision):
-            return mpf(10) ** (GUARD_DIGITS - self.precision)
-
-    def is_zero(self, slack: int = 0) -> bool:
-        """True if |self| is below tolerance (optionally loosened by ``slack`` digits)."""
-        with mpmath.workdps(self.precision):
-            return abs(self.val) < mpf(10) ** (GUARD_DIGITS + slack - self.precision)
-
     def to_fraction(self) -> Fraction:
         """The exact rational value of the underlying binary float."""
         sign, man, exp, _ = self.val._mpf_

@@ -187,7 +187,9 @@ def _solution_pair(args) -> tuple[SolutionTable, SolutionTable, Recurrence, str]
         secondary = franel_secondary(params["d"], rec.order, rec=rec)
     else:
         if rec.order != 2:
-            raise UsageError("higher-order recurrences need explicit --init-b")
+            raise UsageError(
+                f"{spec} has a recurrence of order {rec.order}; the default "
+                "secondary solution needs order 2, so pass --init-b")
         secondary = SolutionTable(rec, InitialConditions(0, [0, 1]))
     return primary, secondary, rec, spec
 

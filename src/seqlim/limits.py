@@ -172,14 +172,30 @@ def apery_limit(primary: SolutionTable, secondary: SolutionTable,
 
     Extends the exact quotient sequence until the bound
     |dQ(N)| rho/(1-rho) (rho = max |dQ(n)/dQ(n-1)| over the last ten steps,
-    required < 1) certifies ``target_digits`` decimal places.
+    required < 1) certifies ``target_digits`` decimal places.  Every A(n)
+    with 0 <= n <= N is checked to be nonzero, but Q(n) is computed only
+    where the certificate reads it.
     """
     prec = target_digits + 25
     n = max(24, 2 * _RATIO_WINDOW + 4)
+    checked = -1  # A(0..checked) are known to be nonzero
+    cache: dict[int, Fraction] = {}
+
+    def q(i: int) -> Fraction:
+        if i not in cache:
+            cache[i] = secondary.term(i) / primary.term(i)
+        return cache[i]
+
     while True:
-        q = quotients(primary, secondary, n)
+        primary.evaluate(n)
+        secondary.evaluate(n)
+        for i in range(checked + 1, n + 1):
+            if primary.term(i) == 0:
+                raise ZeroDenominatorTerm(i)
+            secondary.term(i)  # a B that starts after index 0 fails here
+        checked = n
         with mpmath.workdps(prec + 10):
-            diffs = [q[i] - q[i - 1] for i in range(n - _RATIO_WINDOW - 1, n + 1)]
+            diffs = [q(i) - q(i - 1) for i in range(n - _RATIO_WINDOW - 1, n + 1)]
             if any(d == 0 for d in diffs):
                 raise NotConverging("zero quotient differences; nothing to extrapolate")
             fd = [mpf(d.numerator) / mpf(d.denominator) for d in diffs]
@@ -193,7 +209,7 @@ def apery_limit(primary: SolutionTable, secondary: SolutionTable,
                     samples = []
                     with mpmath.workdps(prec + 10):
                         for m in range(max(2, n // 8), n, max(1, n // 8)):
-                            gap = abs(q[m] - q[n])
+                            gap = abs(q(m) - q(n))
                             agreed = prec if gap == 0 else max(
                                 0, int(mpmath.floor(-mpmath.log(
                                     mpf(gap.numerator) / mpf(gap.denominator), 10))))
@@ -203,7 +219,7 @@ def apery_limit(primary: SolutionTable, secondary: SolutionTable,
                     return ConvergenceReport(
                         terms_used=n,
                         limit_estimate=BigFloat.from_rational(
-                            q[n], certified + GUARD_DIGITS),
+                            q(n), certified + GUARD_DIGITS),
                         digit_agreement=tuple(samples),
                         difference_ratio=BigFloat(rho, prec),
                         certified_digits=certified,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cache
 from typing import Sequence
 
 import mpmath
@@ -78,18 +78,10 @@ def _atan_small(t: Fraction, dps: int) -> mpf:
         return total
 
 
-_BERNOULLI: list[Fraction] = [Fraction(1)]
-
-
+@cache
 def bernoulli(m: int) -> Fraction:
     """Exact Bernoulli number B_m (B_1 = -1/2), cached."""
-    while len(_BERNOULLI) <= m:
-        k = len(_BERNOULLI)
-        acc = Fraction(0)
-        for j in range(k):
-            acc += comb(k + 1, j) * _BERNOULLI[j]
-        _BERNOULLI.append(-acc / (k + 1))
-    return _BERNOULLI[m]
+    return Fraction(*mpmath.bernfrac(m))
 
 
 def _hurwitz_em(s: int, a: Fraction, dps: int) -> mpf:
@@ -373,12 +365,6 @@ class SymbolicForm:
             body = name if name != "one" else "1"
             parts.append(f"{q}*{body}" if q != 1 else body)
         return " + ".join(parts) if parts else "0"
-
-    def value(self, digits: int) -> BigFloat:
-        acc = BigFloat(0, digits + 10)
-        for name, q in self.terms:
-            acc = acc + eval_constant(name, digits + 10) * q
-        return acc
 
 
 def recognize_constant(value: BigFloat, basis: Sequence[str],

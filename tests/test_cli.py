@@ -126,6 +126,14 @@ class TestLimit:
                                "--digits", "20")
         assert code == 2
 
+    def test_order_one_recurrence_names_its_order(self, capsys):
+        # arctan at x = 0 collapses to an order-1 recurrence
+        code, _, err = run_cli(capsys, "limit", "--rec", "arctan:x=0", "--digits", "20")
+        assert code == 2
+        assert "order 1" in err
+        assert "needs order 2" in err
+        assert "higher-order" not in err
+
     def test_recognition_failure_is_computation_error(self, capsys):
         code, _, err = run_cli(capsys, "limit", "--rec", "delannoy",
                                "--digits", "40", "--recognize", "zeta3")

@@ -4,8 +4,10 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from seqlim.arith import OO, BigFloat, Poly
+from seqlim.arith import GUARD_DIGITS, OO, BigFloat, Poly
 from seqlim.limits import (
+    _RATIO_WINDOW,
+    ConvergenceReport,
     DegenerateSystem,
     NoStabilization,
     NotConverging,
@@ -28,6 +30,7 @@ from seqlim.recognize import eval_constant
 from seqlim.recurrence import InitialConditions, Recurrence, SolutionTable
 from seqlim.sums import (
     FamilySpec,
+    arctan_recurrence,
     delannoy_x_symbolic_pair,
     family_pair,
     family_terms,
@@ -128,6 +131,121 @@ class TestAperyLimit:
         a, _ = delannoy
         with pytest.raises(NotConverging):
             apery_limit(a, a, 20)
+
+
+def _reference_apery_limit(primary, secondary, target_digits, max_terms=20000):
+    """The certificate loop as it was when every retry called quotients()."""
+    prec = target_digits + 25
+    n = max(24, 2 * _RATIO_WINDOW + 4)
+    while True:
+        q = quotients(primary, secondary, n)
+        with mpmath.workdps(prec + 10):
+            diffs = [q[i] - q[i - 1] for i in range(n - _RATIO_WINDOW - 1, n + 1)]
+            if any(d == 0 for d in diffs):
+                raise NotConverging("zero quotient differences; nothing to extrapolate")
+            fd = [mpf(d.numerator) / mpf(d.denominator) for d in diffs]
+            ratios = [abs(fd[i + 1] / fd[i]) for i in range(len(fd) - 1)]
+            rho = max(ratios[-_RATIO_WINDOW:])
+            if rho < 1:
+                bound = abs(fd[-1]) * rho / (1 - rho)
+                certified = int(mpmath.floor(-mpmath.log(bound, 10)))
+                certified = min(certified, prec - GUARD_DIGITS)
+                if certified >= target_digits:
+                    samples = []
+                    with mpmath.workdps(prec + 10):
+                        for m in range(max(2, n // 8), n, max(1, n // 8)):
+                            gap = abs(q[m] - q[n])
+                            agreed = prec if gap == 0 else max(
+                                0, int(mpmath.floor(-mpmath.log(
+                                    mpf(gap.numerator) / mpf(gap.denominator), 10))))
+                            samples.append((m, agreed))
+                    return ConvergenceReport(
+                        terms_used=n,
+                        limit_estimate=BigFloat.from_rational(
+                            q[n], certified + GUARD_DIGITS),
+                        digit_agreement=tuple(samples),
+                        difference_ratio=BigFloat(rho, prec),
+                        certified_digits=certified,
+                    )
+        if n >= max_terms:
+            raise NotConverging(f"no certificate after {n} terms")
+        n = min(max_terms, max(n + 8, (3 * n) // 2))
+
+
+def _franel_pair(d):
+    rec = guessed_family_recurrence(FamilySpec("franel", d=d))
+    primary = SolutionTable(rec, InitialConditions(
+        0, family_terms(FamilySpec("franel", d=d), rec.order - 1)))
+    return primary, franel_secondary(d, rec.order, rec=rec)
+
+
+def _arctan_pair():
+    rec = arctan_recurrence()
+    return (SolutionTable(rec, InitialConditions(-1, [0, 1])),
+            SolutionTable(rec, InitialConditions(0, [0, 1])))
+
+
+# fresh (primary, secondary) makers, as the CLI builds them, and their limits
+LIMIT_CASES = {
+    "delannoy": (lambda: family_pair(FamilySpec("delannoy")), lambda: mpmath.log(2) / 2),
+    "apery3": (lambda: family_pair(FamilySpec("apery3")), lambda: mpmath.zeta(3) / 6),
+    "arctan": (_arctan_pair, lambda: mpmath.pi / 4),
+    "delannoy_x": (lambda: family_pair(FamilySpec("delannoy_x", x=F(4, 7))),
+                   lambda: mpmath.log(mpf(11) / 4) / 2),
+    "franel5": (lambda: _franel_pair(5), lambda: mpmath.zeta(2) / 6),
+}
+
+
+class TestAperyLimitMatchesQuotientLoop:
+    @pytest.mark.parametrize("target", [30, 57, 130, 400])
+    @pytest.mark.parametrize("name", sorted(LIMIT_CASES))
+    def test_every_report_field_is_equal(self, name, target):
+        make, _ = LIMIT_CASES[name]
+        got = apery_limit(*make(), target)
+        want = _reference_apery_limit(*make(), target)
+        assert got.terms_used == want.terms_used
+        assert got.certified_digits == want.certified_digits
+        assert got.digit_agreement == want.digit_agreement
+        for field in ("limit_estimate", "difference_ratio"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert (g.val, g.precision) == (w.val, w.precision)
+
+    @pytest.mark.parametrize("root", [5, 30])
+    def test_vanishing_primary_raises_at_the_same_index(self, root):
+        # u(n+2) - 2u(n+1) + u(n) = 0 has the solutions n - root and 1;
+        # A(n) = n - root vanishes below the first ratio window (root 5) or
+        # between the first and the second retry (root 30)
+        rec = Recurrence([Poly([1]), Poly([-2]), Poly([1])])
+
+        def pair():
+            return (SolutionTable(rec, InitialConditions(0, [-root, 1 - root])),
+                    SolutionTable(rec, InitialConditions(0, [1, 1])))
+
+        with pytest.raises(ZeroDenominatorTerm) as want:
+            quotients(*pair(), 40)
+        with pytest.raises(ZeroDenominatorTerm) as got:
+            apery_limit(*pair(), 30)
+        assert got.value.n == want.value.n == root
+
+
+    def test_secondary_starting_after_zero_fails_as_quotients_does(self, delannoy):
+        a, _ = delannoy
+        b = SolutionTable(a.recurrence, InitialConditions(1, [0, 1]))
+        for run in (lambda: quotients(a, b, 30), lambda: apery_limit(a, b, 30)):
+            with pytest.raises(ValueError, match="term 0 precedes"):
+                run()
+
+class TestCertificateMargin:
+    @pytest.mark.parametrize("name,target", [
+        ("delannoy", 50), ("arctan", 50), ("franel5", 50), ("apery3", 200),
+        ("delannoy", 400), ("arctan", 200), ("apery3", 58), ("apery3", 100)])
+    def test_certified_digits_are_true_digits(self, name, target):
+        make, reference = LIMIT_CASES[name]
+        rep = apery_limit(*make(), target)
+        with mpmath.workdps(rep.certified_digits + 40):
+            err = abs(rep.limit_estimate.val - reference())
+            true_digits = int(mpmath.floor(-mpmath.log10(err)))
+        assert rep.certified_digits <= true_digits
 
 
 class TestDifferenceRatio:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
@@ -64,6 +65,25 @@ class TestConstants:
     def test_bernoulli_values(self):
         assert [bernoulli(k) for k in range(7)] == [
             1, F(-1, 2), F(1, 6), 0, F(-1, 30), 0, F(1, 42)]
+
+    def test_bernoulli_matches_exact_recurrence(self):
+        # B_k = -1/(k+1) * sum_{j<k} C(k+1, j) B_j, with B_1 = -1/2
+        want = [F(1)]
+        for k in range(1, 301):
+            want.append(-sum(comb(k + 1, j) * want[j] for j in range(k)) / (k + 1))
+        assert want[1] == F(-1, 2)
+        assert all(want[m] == 0 for m in range(3, 301, 2))
+        assert [bernoulli(m) for m in range(301)] == want
+
+    @pytest.mark.parametrize("name,reference", [
+        ("zeta3", lambda: mpmath.zeta(3)),
+        ("catalan", lambda: +mpmath.catalan),
+        ("L3", lambda: (mpmath.zeta(2, mpf(1) / 3) - mpmath.zeta(2, mpf(2) / 3)) / 9),
+    ])
+    def test_euler_maclaurin_constants_to_400_digits(self, name, reference):
+        got = eval_constant(name, 400)
+        with mpmath.workdps(420):
+            assert abs(got.val - reference()) < mpf(10) ** -400
 
     def test_log_rational(self):
         with mpmath.workdps(60):
