@@ -259,6 +259,8 @@ def cmd_limit(args) -> Report:
     names = args.recognize.split(",") if args.recognize else []
     if any(n not in CATALOG_NAMES for n in names):
         raise UsageError(f"unknown constant in {args.recognize!r}; known: {', '.join(CATALOG_NAMES)}")
+    if len(set(names)) < len(names):
+        raise UsageError(f"repeated constant in {args.recognize!r}; a basis needs distinct names")
     if names and args.digits < 10 * (len(names) + 1):
         raise UsageError(f"--digits must be >= {10 * (len(names) + 1)} to recognize "
                          f"over {len(names)} basis constants")

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import to_rational
 
 from seqlim.arith import (
     GUARD_DIGITS,
@@ -166,6 +167,23 @@ class ConvergenceReport:
 _RATIO_WINDOW = 10
 
 
+def _decimal_places(num: int, den: int) -> int:
+    """floor(-log10(num/den)) for positive integers, exactly.
+
+    The bit lengths give the answer to within one; integer comparisons
+    against a power of ten settle it.
+    """
+    def at_most(k):  # num/den <= 10**-k
+        return num * 10**k <= den if k >= 0 else num <= den * 10**-k
+
+    k = int((den.bit_length() - num.bit_length()) * 0.30103)
+    while not at_most(k):
+        k -= 1
+    while at_most(k + 1):
+        k += 1
+    return k
+
+
 def apery_limit(primary: SolutionTable, secondary: SolutionTable,
                 target_digits: int, max_terms: int = 20000) -> ConvergenceReport:
     """Estimate lim secondary/primary with a geometric tail certificate.
@@ -203,17 +221,15 @@ def apery_limit(primary: SolutionTable, secondary: SolutionTable,
             rho = max(ratios[-_RATIO_WINDOW:])
             if rho < 1:
                 bound = abs(fd[-1]) * rho / (1 - rho)
-                certified = int(mpmath.floor(-mpmath.log(bound, 10)))
+                certified = _decimal_places(*to_rational(bound._mpf_))
                 certified = min(certified, prec - GUARD_DIGITS)
                 if certified >= target_digits:
                     samples = []
-                    with mpmath.workdps(prec + 10):
-                        for m in range(max(2, n // 8), n, max(1, n // 8)):
-                            gap = abs(q(m) - q(n))
-                            agreed = prec if gap == 0 else max(
-                                0, int(mpmath.floor(-mpmath.log(
-                                    mpf(gap.numerator) / mpf(gap.denominator), 10))))
-                            samples.append((m, agreed))
+                    for m in range(max(2, n // 8), n, max(1, n // 8)):
+                        gap = abs(q(m) - q(n))
+                        agreed = prec if gap == 0 else max(
+                            0, _decimal_places(gap.numerator, gap.denominator))
+                        samples.append((m, agreed))
                     # tag the estimate with its honest precision: certified
                     # digits plus the guard, never the working precision
                     return ConvergenceReport(

@@ -1,8 +1,9 @@
 """Constant evaluation, lattice reduction, and symbolic recognition.
 
 The constant catalog evaluates each entry from elementary, precision-scalable
-series: logarithms from atanh series, pi from a Machin-type arctangent
-combination, zeta values from Euler-Maclaurin-corrected partial sums, and the
+series: logarithms from atanh series, pi from a Machin-type combination of
+the same series with alternating signs (both step their terms by integer
+ratios), zeta values from Euler-Maclaurin-corrected partial sums, and the
 quadratic Dirichlet L-values from paired Hurwitz-style sums with the same
 Euler-Maclaurin tail.  Every evaluator is validated once per process against
 a pinned 50-digit reference string.
@@ -47,33 +48,21 @@ class DependentRows(RecognitionError):
 # ----------------------------------------------------------------------
 
 
-def _atanh_small(t: Fraction, dps: int) -> mpf:
-    """atanh(t) for |t| < 1 by direct series; meant for small |t|."""
+def _atanh_small(t: Fraction, dps: int, alternate: bool = False) -> mpf:
+    """atanh(t), or atan(t) when ``alternate``, for |t| < 1 by direct series.
+
+    Meant for small |t| = p/q: each term is the previous one times the
+    integers p**2 and q**2, with no full-precision multiplication.
+    """
+    p2, q2 = t.numerator ** 2, t.denominator ** 2
     with mpmath.workdps(dps):
-        tf = mpf(t.numerator) / mpf(t.denominator)
-        t2 = tf * tf
-        term = tf
+        term = mpf(t.numerator) / mpf(t.denominator)
         total = mpf(0)
         k = 0
         floor = mpf(10) ** (-dps)
         while abs(term) > floor:
-            total += term / (2 * k + 1)
-            term *= t2
-            k += 1
-        return total
-
-
-def _atan_small(t: Fraction, dps: int) -> mpf:
-    with mpmath.workdps(dps):
-        tf = mpf(t.numerator) / mpf(t.denominator)
-        t2 = tf * tf
-        term = tf
-        total = mpf(0)
-        k = 0
-        floor = mpf(10) ** (-dps)
-        while abs(term) > floor:
-            total += term / (2 * k + 1) if k % 2 == 0 else -term / (2 * k + 1)
-            term *= t2
+            total += -term / (2 * k + 1) if alternate and k % 2 else term / (2 * k + 1)
+            term = term * p2 / q2
             k += 1
         return total
 
@@ -141,8 +130,8 @@ def _eval_ln2(dps):
 
 def _eval_pi(dps):
     with mpmath.workdps(dps):
-        return (16 * _atan_small(Fraction(1, 5), dps)
-                - 4 * _atan_small(Fraction(1, 239), dps))
+        return (16 * _atanh_small(Fraction(1, 5), dps, alternate=True)
+                - 4 * _atanh_small(Fraction(1, 239), dps, alternate=True))
 
 
 def _eval_zeta(s):
@@ -371,9 +360,10 @@ def recognize_constant(value: BigFloat, basis: Sequence[str],
                        max_coeff: int = 10**12) -> SymbolicForm | None:
     """Identify ``value`` as a rational combination of the named constants.
 
-    Discovery runs at two thirds of the supplied precision; a candidate is
-    returned only if it still matches at the full precision (i.e. 1.5x the
-    discovery precision), which filters lattice accidents.
+    Discovery runs at two thirds of the supplied precision, on the value and
+    the constants rounded from one full-precision evaluation each; a
+    candidate is returned only if it still matches at the full precision
+    (i.e. 1.5x the discovery precision), which filters lattice accidents.
     """
     names = list(basis)
     p_full = value.precision
@@ -382,12 +372,12 @@ def recognize_constant(value: BigFloat, basis: Sequence[str],
             f"need {10 * (len(names) + 1)} digits for {len(names)} basis constants")
     p_disc = max((2 * p_full) // 3, 10 * (len(names) + 1))
     vals = [BigFloat(value.val, p_disc)]
-    vals += [eval_constant(n, p_disc) for n in names]
+    vals += [BigFloat(eval_constant(n, p_full).val, p_disc) for n in names]
     rel = integer_relation(vals, max_coeff, p_disc)
     if rel is None or rel[0] == 0:
         return None
     coeffs = [Fraction(-rel[i + 1], rel[0]) for i in range(len(names))]
-    # verify at the full precision with freshly evaluated constants
+    # verify at the full precision
     with mpmath.workdps(p_full + 10):
         acc = mpf(0)
         for name, q in zip(names, coeffs):

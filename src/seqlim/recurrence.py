@@ -231,21 +231,35 @@ class SolutionTable:
         return self._terms[n]
 
     def evaluate(self, upto: int) -> list:
-        """Exact terms u(start), ..., u(upto); idempotent cache extension."""
+        """Exact terms u(start), ..., u(upto); idempotent cache extension.
+
+        Steps the last d terms as integer numerators over one common
+        denominator, the lcm of every denominator seen in this call.  The
+        gcd that reduces each new term also gives the factor that widens
+        the common denominator, so a step costs one big-number gcd.
+        """
         with self._lock:
             rec = self.recurrence
             d = rec.order
             terms = self._terms
+            if self._top < upto:
+                window = [terms[i] for i in range(self._top - d + 1, self._top + 1)]
+                den = lcm(*(t.denominator for t in window))
+                nums = [t.numerator * (den // t.denominator) for t in window]
             while self._top < upto:
                 m = self._top + 1
                 n = m - d
                 cs = rec.coeffs_at(n)
                 if cs[d] == 0:
                     raise SingularLeadingCoefficient(n)
-                acc = cs[0] * terms[n]
-                for k in range(1, d):
-                    acc += cs[k] * terms[n + k]
-                terms[m] = -acc / cs[d]
+                term = Fraction(-sum(c * u for c, u in zip(cs, nums)), cs[d] * den)
+                g = abs(cs[d]) * den // term.denominator  # gcd cancelled in term
+                r = gcd(g, cs[d])
+                # new common denominator: lcm(den, term.denominator) = den * |c_d| / r
+                scale = abs(cs[d]) // r
+                den *= scale
+                nums = [u * scale for u in nums[1:]] + [term.numerator * (g // r)]
+                terms[m] = term
                 self._top = m
             return [terms[i] for i in range(self.init.start_index, upto + 1)]
 

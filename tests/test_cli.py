@@ -156,6 +156,17 @@ class TestLimit:
         assert code == 2
         assert "--digits must be >= 80" in err
 
+    def test_repeated_basis_name_is_usage_error(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the limit was computed before the usage check")
+
+        monkeypatch.setattr(seqlim.cli, "_solution_pair", no_work)
+        monkeypatch.setattr(seqlim.cli, "apery_limit", no_work)
+        code, _, err = run_cli(capsys, "limit", "--rec", "delannoy", "--digits", "60",
+                               "--recognize", "ln2,ln2")
+        assert code == 2
+        assert "repeated constant" in err
+
     def test_basis_digit_threshold_is_accepted(self, capsys):
         code, out, err = run_cli(capsys, "limit", "--rec", "delannoy", "--digits", "80",
                                  "--recognize", "one,ln2,pi,zeta2,zeta3,catalan,L3")

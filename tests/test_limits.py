@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import to_rational
 
 from seqlim.arith import GUARD_DIGITS, OO, BigFloat, Poly
 from seqlim.limits import (
@@ -13,6 +16,7 @@ from seqlim.limits import (
     NotConverging,
     UnderdeterminedSolution,
     ZeroDenominatorTerm,
+    _decimal_places,
     apery_limit,
     difference_identity_check,
     difference_ratio_limit,
@@ -131,6 +135,41 @@ class TestAperyLimit:
         a, _ = delannoy
         with pytest.raises(NotConverging):
             apery_limit(a, a, 20)
+
+
+class TestDecimalPlaces:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 10**30), st.integers(1, 10**30), st.integers(-200, 200))
+    def test_brackets_the_value(self, num, den, shift):
+        x = F(num, den) * F(2) ** shift  # below and above 1
+        k = _decimal_places(x.numerator, x.denominator)
+        assert F(1, 10) ** (k + 1) < x <= F(1, 10) ** k
+
+    @pytest.mark.parametrize("k", range(-8, 9))
+    def test_exact_powers_of_ten(self, k):
+        x = F(1, 10) ** k
+        assert _decimal_places(x.numerator, x.denominator) == k
+        above = x * F(10**12 + 1, 10**12)
+        assert _decimal_places(above.numerator, above.denominator) == k - 1
+        below = x * F(10**12 - 1, 10**12)
+        assert _decimal_places(below.numerator, below.denominator) == k
+
+    @pytest.mark.parametrize("value,exp_sign", [
+        (lambda: mpf(3) / 1024, -1),            # 0.0029...
+        (lambda: mpf(12345) * 2**40, 1),        # 1.357e16
+        (lambda: mpf(2) ** 100, 1),             # mantissa 1
+        (lambda: mpf(10) ** -300, -1),          # the nearest binary value to 1e-300
+        (lambda: mpf(10) ** 300, 1),
+        (lambda: mpf(7) / 10**9, -1),
+    ])
+    def test_mpf_inputs(self, value, exp_sign):
+        with mpmath.workdps(50):
+            x = value()
+        assert (x.exp > 0) - (x.exp < 0) == exp_sign
+        num, den = to_rational(x._mpf_)
+        assert F(num, den) == F(int(x.man)) * F(2) ** int(x.exp)
+        with mpmath.workdps(400):
+            assert _decimal_places(num, den) == int(mpmath.floor(-mpmath.log10(x)))
 
 
 def _reference_apery_limit(primary, secondary, target_digits, max_terms=20000):

@@ -6,7 +6,8 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from seqlim.arith import BigFloat
+import seqlim.recognize
+from seqlim.arith import GUARD_DIGITS, BigFloat
 from seqlim.recognize import (
     CATALOG_NAMES,
     REFERENCE_50,
@@ -90,6 +91,46 @@ class TestConstants:
             want = mpmath.ln(mpf(3) / 2)
             got = log_rational(F(3, 2), 50)
             assert abs(got.val - want) < mpf(10) ** -48
+
+
+def _full_ratio_series(t, dps, alternate):
+    """atanh(t), or atan(t), stepping each term by the full-precision mpf t**2."""
+    with mpmath.workdps(dps):
+        tf = mpf(t.numerator) / mpf(t.denominator)
+        t2 = tf * tf
+        term, total, k = tf, mpf(0), 0
+        floor = mpf(10) ** (-dps)
+        while abs(term) > floor:
+            total += -term / (2 * k + 1) if alternate and k % 2 else term / (2 * k + 1)
+            term *= t2
+            k += 1
+        return total
+
+
+def _reference_series_constant(name, digits):
+    dps = digits + GUARD_DIGITS + 5
+    with mpmath.workdps(dps):
+        if name == "ln2":
+            value = 2 * _full_ratio_series(F(1, 3), dps, False)
+        else:
+            value = (16 * _full_ratio_series(F(1, 5), dps, True)
+                     - 4 * _full_ratio_series(F(1, 239), dps, True))
+    return BigFloat(value, digits)
+
+
+class TestIntegerRatioSeries:
+    @pytest.mark.parametrize("digits", [*range(10, 201, 7), 333, 501, 1000, 2015, 3007])
+    @pytest.mark.parametrize("name", ["ln2", "pi"])
+    def test_bit_identical_to_full_ratio_series(self, name, digits):
+        got = eval_constant(name, digits)
+        want = _reference_series_constant(name, digits)
+        assert (got.val.man, got.val.exp) == (want.val.man, want.val.exp)
+
+    def test_negative_argument(self):
+        # log_rational of a value below one runs the series at t < 0
+        with mpmath.workdps(80):
+            got = log_rational(F(2, 7), 60)
+            assert abs(got.val - mpmath.ln(mpf(2) / 7)) < mpf(10) ** -58
 
 
 def _rational_gram_schmidt(rows):
@@ -229,3 +270,22 @@ class TestRecognizeConstant:
             v = eval_constant(name, 60) * q
             form = recognize_constant(v, [name])
             assert form is not None and dict(form.terms)[name] == q
+
+    def test_each_basis_constant_is_evaluated_once(self, monkeypatch):
+        calls = {}
+
+        def counted(name, evaluate):
+            def run(dps):
+                calls[name] = calls.get(name, 0) + 1
+                return evaluate(dps)
+            return run
+
+        evaluators = {n: counted(n, f) for n, f in seqlim.recognize._EVALUATORS.items()}
+        eval_constant("one", 10)  # run the catalog self-check before counting
+        monkeypatch.setattr(seqlim.recognize, "_EVALUATORS", evaluators)
+        monkeypatch.setattr(seqlim.recognize, "_CACHE", {})
+        with mpmath.workdps(140):
+            value = BigFloat(mpmath.zeta(3) / 7 - 2 * mpmath.catalan + 3, 120)
+        form = recognize_constant(value, ["zeta3", "catalan", "one"])
+        assert dict(form.terms) == {"zeta3": F(1, 7), "catalan": F(-2), "one": F(3)}
+        assert calls == {"zeta3": 1, "catalan": 1, "one": 1}

@@ -175,6 +175,69 @@ class TestEvaluate:
         assert tab.term(4) == -(99 + 2)  # relation at n = 2: 1*u4 + u3 + u2 = 0
 
 
+def _fraction_stepping(rec, start, values, upto, supplied=None):
+    """u(start..upto) by plain Fraction stepping on Poly-evaluated coefficients."""
+    d = rec.order
+    supplied = supplied or {}
+    terms = [F(v) for v in values]
+    for m in range(start + d, upto + 1):
+        if m in supplied:
+            terms.append(F(supplied[m]))
+            continue
+        n = m - d
+        cs = [c(F(n)) for c in rec.coeffs]
+        if cs[d] == 0:
+            raise SingularLeadingCoefficient(n)
+        terms.append(-sum(cs[k] * terms[n - start + k] for k in range(d)) / cs[d])
+    return terms
+
+
+def _rational_init(rec):
+    return [F((-1) ** i * (3 * i + 1), 2 * i + 3) for i in range(rec.order)]
+
+
+class TestFractionFreeStepping:
+    @pytest.mark.parametrize("index", range(len(_catalog_recurrences())))
+    def test_matches_fraction_stepping_on_catalog(self, index):
+        rec = _catalog_recurrences()[index]
+        start = max(rec.offset, 0)
+        values = _rational_init(rec)
+        tab = SolutionTable(rec, InitialConditions(start, values))
+        got = tab.evaluate(300)
+        assert got == _fraction_stepping(rec, start, values, 300)
+        assert all(type(t) is F for t in got)
+
+    def test_uneven_chunks(self):
+        rec = guessed_family_recurrence(FamilySpec("franel", d=5))
+        values = _rational_init(rec)
+        want = _fraction_stepping(rec, 0, values, 300)
+        tab = SolutionTable(rec, InitialConditions(0, values))
+        for upto in (10, 57, 300):
+            assert tab.evaluate(upto) == want[:upto + 1]
+            assert tab.term(upto // 2) == want[upto // 2]
+
+    def test_supplied_term_between_extensions(self):
+        rec = apery3_recurrence()
+        tab = SolutionTable(rec, InitialConditions(0, [1, 5]))
+        tab.evaluate(40)
+        tab.with_term(41, F(7, 11))
+        got = tab.evaluate(120)
+        assert got == _fraction_stepping(rec, 0, [1, 5], 120, {41: F(7, 11)})
+
+    @pytest.mark.parametrize("make", [
+        lambda: family_pair(FamilySpec("delannoy"))[1],
+        lambda: family_pair(FamilySpec("apery3"))[1],
+        lambda: SolutionTable(arctan_recurrence(), InitialConditions(0, [0, 1])),
+    ])
+    def test_secondary_with_growing_denominators(self, make):
+        tab = make()
+        start = tab.start_index
+        values = tab.init.values
+        got = tab.evaluate(300)
+        assert got == _fraction_stepping(tab.recurrence, start, values, 300)
+        assert got[-1].denominator > 10**100
+
+
 class TestCasoratian:
     def test_delannoy_at_zero(self, delannoy):
         a, b = delannoy
