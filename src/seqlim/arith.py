@@ -61,11 +61,16 @@ class Infinity:
 OO = Infinity()
 
 
+def to_mpf(q: RationalLike) -> mpf:
+    """The rational ``q`` as an mpf, rounded at the ambient precision."""
+    return mpf(q.numerator) / mpf(q.denominator)
+
+
 def _to_mpf(value, dps: int) -> mpf:
     """Convert int/Fraction/str/mpf to an mpf rounded at ``dps`` digits."""
     with mpmath.workdps(dps):
         if isinstance(value, Fraction):
-            return mpf(value.numerator) / mpf(value.denominator)
+            return to_mpf(value)
         if isinstance(value, (int, str)):
             return mpf(value)
         if isinstance(value, (mpf, float)):
@@ -709,3 +714,52 @@ def rational_from_decimal(v: BigFloat, max_denominator: int) -> Fraction | None:
         return None
     cand = Fraction(p, q)
     return cand if abs(x - cand) < tol else None
+
+
+# ----------------------------------------------------------------------
+# Exact linear algebra
+# ----------------------------------------------------------------------
+
+
+def row_reduce(rows: list[list[Fraction]], width: int
+               ) -> tuple[list[int], list[list[Fraction]], Fraction]:
+    """Gauss-Jordan elimination over Fraction of the first ``width`` columns.
+
+    A column's pivot is the first row at or below the rank with a nonzero
+    entry there; columns past ``width`` (a right-hand side) only follow the
+    row operations.  Returns the pivot columns, the reduced rows (pivot rows
+    first) and the determinant, 0 when the rank is below the row count.
+    """
+    a = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    det = Fraction(1)
+    for col in range(width):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            det = -det
+        det *= a[rank][col]
+        inv = 1 / a[rank][col]
+        a[rank] = [x * inv for x in a[rank]]
+        for r in range(len(a)):
+            if r != rank and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        pivots.append(col)
+    return pivots, a, det if len(pivots) == len(a) else Fraction(0)
+
+
+def nullspace(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
+    """Basis of the vectors v with rows . v = 0: one per free column, 1 there."""
+    pivots, reduced, _ = row_reduce(rows, width)
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        v = [Fraction(0)] * width
+        v[free] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -reduced[i][free]
+        basis.append(v)
+    return basis

@@ -28,6 +28,7 @@ from seqlim.contfrac import (
     log_cf,
 )
 from seqlim.limits import (
+    POWER_SUMS,
     apery_limit,
     franel_secondary,
     solve_vanishing_init,
@@ -44,13 +45,14 @@ from seqlim.recurrence import (
     recurrence_to_text,
 )
 from seqlim.sums import (
+    FAMILIES,
     FamilySpec,
     InvalidParameter,
-    arctan_recurrence,
     eval_family,
     family_recurrence,
     family_terms,
     guessed_family_recurrence,
+    primary_init,
 )
 from seqlim.arith import ratfunc_from_text
 
@@ -126,72 +128,77 @@ def _family_spec(args) -> FamilySpec:
         raise UsageError(str(exc))
 
 
-def _parse_rec_spec(spec: str) -> tuple[Recurrence, dict, str]:
-    """Named recurrence (with parameters) or @file in the text format."""
-    if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            return recurrence_from_text(fh.read()), {}, spec
-    name, _, params = spec.partition(":")
+def _parse_spec(text: str, known: dict[str, tuple[str, ...]]) -> tuple[str, dict[str, str]]:
+    """Split ``name:key=value,...`` into the name and its parameters.
+
+    ``known`` maps each accepted name to the keys it takes.  Any other
+    name, an unknown or repeated key, or an empty value is a usage error.
+    """
+    name, _, params = text.partition(":")
+    if name not in known:
+        raise UsageError(f"unknown name {name!r} in {text!r}; known: {', '.join(known)}")
     kv = {}
-    if params:
-        for part in params.split(","):
-            key, _, value = part.partition("=")
-            if not value:
-                raise UsageError(f"malformed recurrence parameter {part!r}")
-            kv[key] = value
-    if name == "delannoy":
-        return family_recurrence(FamilySpec("delannoy")), {}, spec
-    if name == "apery3":
-        return family_recurrence(FamilySpec("apery3")), {}, spec
-    if name == "delannoy_x":
-        if "x" not in kv:
-            raise UsageError("delannoy_x needs x=P/Q")
-        x = _fraction(kv["x"])
-        return family_recurrence(FamilySpec("delannoy_x", x=x)), {"x": x}, spec
-    if name == "arctan":
-        if "x" not in kv:
-            raise UsageError("arctan needs x=P/Q")
-        x = _fraction(kv["x"])
-        if x == Fraction(1, 2):
-            return arctan_recurrence(), {"x": x}, spec
-        return family_recurrence(FamilySpec("trinomial_x", x=x)), {"x": x}, spec
-    if name == "franel":
-        if "d" not in kv:
-            raise UsageError("franel needs d=D")
-        d = int(kv["d"])
-        return guessed_family_recurrence(FamilySpec("franel", d=d)), {"d": d}, spec
-    raise UsageError(f"unknown recurrence spec {spec!r}")
+    for part in params.split(",") if params else ():
+        key, _, value = part.partition("=")
+        if key not in known[name] or key in kv or not value:
+            raise UsageError(f"unknown, repeated or empty parameter {part!r} in {text!r}")
+        kv[key] = value
+    return name, kv
 
 
-def _solution_pair(args) -> tuple[SolutionTable, SolutionTable, Recurrence, str]:
-    rec, params, spec = _parse_rec_spec(args.rec)
+#: --rec and --from-rec names that differ from the catalog family they denote.
+_REC_ALIASES = {"arctan": "trinomial_x"}
+
+
+def _rec_family(text: str) -> FamilySpec | None:
+    """The catalog family a named recurrence denotes; None for an @file."""
+    if text.startswith("@"):
+        return None
+    name, kv = _parse_spec(text, dict.fromkeys([*FAMILIES, *_REC_ALIASES], ("d", "x")))
+    try:
+        return FamilySpec(_REC_ALIASES.get(name, name),
+                          d=int(kv["d"]) if "d" in kv else None,
+                          x=_fraction(kv["x"]) if "x" in kv else None)
+    except ValueError as exc:  # a non-integer d, or an InvalidParameter
+        raise UsageError(f"{exc} (in {text!r})")
+
+
+def _recurrence(text: str, family: FamilySpec | None) -> Recurrence:
+    """The family's recurrence, or the one in the @file ``text`` names."""
+    if family is not None:
+        return family_recurrence(family)
+    with open(text[1:], "r", encoding="utf-8") as fh:
+        return recurrence_from_text(fh.read())
+
+
+def _initial(values: str, start: int) -> InitialConditions:
+    return InitialConditions(start, [_fraction(v) for v in values.split(",")])
+
+
+def _solution_pair(args) -> tuple[SolutionTable, SolutionTable]:
+    family = _rec_family(args.rec)
+    power_sum_b = not args.init_b and family is not None and family.name == "franel"
+    if power_sum_b and family.d not in POWER_SUMS:
+        raise UsageError(f"franel without --init-b supports d in "
+                         f"{min(POWER_SUMS)}..{max(POWER_SUMS)}")
+    rec = _recurrence(args.rec, family)
     if args.init_a:
-        vals = [_fraction(v) for v in args.init_a.split(",")]
-        primary = SolutionTable(rec, InitialConditions(args.init_a_start, vals))
-    elif args.rec.startswith("@"):
+        primary = SolutionTable(rec, _initial(args.init_a, args.init_a_start))
+    elif family is None:
         raise UsageError("file recurrences need explicit --init-a")
-    elif args.rec.startswith("franel"):
-        d = params["d"]
-        primary = SolutionTable(rec, InitialConditions(
-            0, family_terms(FamilySpec("franel", d=d), rec.order - 1)))
-    elif rec.offset <= -1:
-        primary = SolutionTable(rec, InitialConditions(-1, [0, 1]))
     else:
-        name = {"delannoy_x": "delannoy_x", "arctan": "trinomial_x"}[args.rec.split(":")[0]]
-        primary = SolutionTable(rec, InitialConditions(
-            0, family_terms(FamilySpec(name, x=params["x"]), rec.order - 1)))
+        primary = SolutionTable(rec, primary_init(family, rec))
     if args.init_b:
-        vals = [_fraction(v) for v in args.init_b.split(",")]
-        secondary = SolutionTable(rec, InitialConditions(args.init_b_start, vals))
-    elif args.rec.startswith("franel"):
-        secondary = franel_secondary(params["d"], rec.order, rec=rec)
+        secondary = SolutionTable(rec, _initial(args.init_b, args.init_b_start))
+    elif power_sum_b:
+        secondary = franel_secondary(family.d, rec.order, rec=rec)
+    elif rec.order != 2:
+        raise UsageError(
+            f"{args.rec} has a recurrence of order {rec.order}; the default "
+            "secondary solution needs order 2, so pass --init-b")
     else:
-        if rec.order != 2:
-            raise UsageError(
-                f"{spec} has a recurrence of order {rec.order}; the default "
-                "secondary solution needs order 2, so pass --init-b")
         secondary = SolutionTable(rec, InitialConditions(0, [0, 1]))
-    return primary, secondary, rec, spec
+    return primary, secondary
 
 
 # ----------------------------------------------------------------------
@@ -264,9 +271,9 @@ def cmd_limit(args) -> Report:
     if names and args.digits < 10 * (len(names) + 1):
         raise UsageError(f"--digits must be >= {10 * (len(names) + 1)} to recognize "
                          f"over {len(names)} basis constants")
-    primary, secondary, rec, spec = _solution_pair(args)
+    primary, secondary = _solution_pair(args)
     scale = _fraction(args.scale) if args.scale else Fraction(1)
-    report.inputs = {"rec": spec, "digits": str(args.digits), "scale": str(scale)}
+    report.inputs = {"rec": args.rec, "digits": str(args.digits), "scale": str(scale)}
     started = time.perf_counter()
     try:
         conv = apery_limit(primary, secondary, args.digits + 8)
@@ -291,11 +298,6 @@ def cmd_limit(args) -> Report:
     return report
 
 
-_FRANEL_KILLS = {3: [], 4: [], 5: ["zeta2"], 6: ["zeta2"],
-                 7: ["zeta2", "zeta6"], 8: ["zeta2", "zeta6"],
-                 9: ["zeta2", "zeta6", "zeta8"], 10: ["zeta2", "zeta6", "zeta8"]}
-
-
 def cmd_conjecture(args) -> Report:
     report = Report("conjecture")
     lo, _, hi = args.d_range.partition("..")
@@ -305,23 +307,25 @@ def cmd_conjecture(args) -> Report:
         raise UsageError(f"bad --d-range {args.d_range!r}; use LO..HI")
     if args.digits < 10:
         raise UsageError("--digits must be >= 10")
-    if args.name == "franel-zeta2" and not 3 <= lo <= hi <= 10:
-        raise UsageError("franel-zeta2 supports d in 3..10")
-    if args.name == "franel-zeta4" and not 5 <= lo <= hi <= 10:
-        raise UsageError("franel-zeta4 supports d in 5..10")
+    # franel-zeta4 needs a tertiary solution: the d that have constants to cancel
+    supported = [d for d, (kills, _) in POWER_SUMS.items()
+                 if kills or args.name == "franel-zeta2"]
+    if not supported[0] <= lo <= hi <= supported[-1]:
+        raise UsageError(f"{args.name} supports d in {supported[0]}..{supported[-1]}")
     report.inputs = {"name": args.name, "d_range": f"{lo}..{hi}",
                      "digits": str(args.digits)}
     failures = []
     for d in range(lo, hi + 1):
         started = time.perf_counter()
         verdict = {}
-        rec = guessed_family_recurrence(FamilySpec("franel", d=d))
+        family = FamilySpec("franel", d=d)
+        rec = guessed_family_recurrence(family)
         verdict["order"] = str(rec.order)
         verdict["order_expected"] = str((d + 1) // 2)
         ok = rec.order == (d + 1) // 2
+        init = primary_init(family, rec)
         if args.name == "franel-zeta2":
-            primary = SolutionTable(rec, InitialConditions(
-                0, family_terms(FamilySpec("franel", d=d), rec.order - 1)))
+            primary = SolutionTable(rec, init)
             secondary = franel_secondary(d, rec.order, rec=rec)
             verdict["secondary_init"] = [str(secondary.term(i)) for i in range(rec.order)]
             conv = apery_limit(primary, secondary, args.digits)
@@ -334,10 +338,9 @@ def cmd_conjecture(args) -> Report:
             verdict["digits"] = str(conv.certified_digits)
             ok = ok and form is not None and got == expected
         else:
-            a_init = family_terms(FamilySpec("franel", d=d), rec.order - 1)
             try:
-                solved = solve_vanishing_init(rec, a_init, "zeta4",
-                                              _FRANEL_KILLS[d], args.digits)
+                solved = solve_vanishing_init(rec, init.values, "zeta4",
+                                              POWER_SUMS[d][0], args.digits)
             except Exception as exc:
                 verdict["error"] = str(exc)
                 solved = None
@@ -365,13 +368,10 @@ def _parse_cf_spec(spec: str) -> ContinuedFraction:
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as fh:
             return cf_from_text(fh.read())
-    name, _, params = spec.partition(":")
-    kv = dict(part.partition("=")[::2] for part in params.split(",")) if params else {}
+    name, kv = _parse_spec(spec, {"log": ("x",), "arctan": ("z",)})
     if name == "log":
         return log_cf(_fraction(kv.get("x", "1")))
-    if name == "arctan":
-        return arctan_cf(_fraction(kv.get("z", "1")))
-    raise UsageError(f"unknown continued-fraction spec {spec!r}")
+    return arctan_cf(_fraction(kv.get("z", "1")))
 
 
 def cmd_cf(args) -> Report:
@@ -384,10 +384,10 @@ def cmd_cf(args) -> Report:
         vals = convergents(cf, args.n)
         report.results["convergents"] = [str(v) for v in vals]
     else:
-        rec, _, spec = _parse_rec_spec(args.from_rec)
+        rec = _recurrence(args.from_rec, _rec_family(args.from_rec))
         rescaling = ratfunc_from_text(args.rescale) if args.rescale else None
         cf = from_recurrence(rec, rescaling)
-        report.inputs = {"from_rec": spec,
+        report.inputs = {"from_rec": args.from_rec,
                          "rescale": args.rescale or "auto"}
         report.results["cf"] = cf_to_text(cf)
         if args.n:

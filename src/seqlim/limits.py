@@ -30,14 +30,17 @@ from seqlim.arith import (
     BigFloat,
     Infinity,
     RatFunc,
+    nullspace,
     rational_from_decimal,
     ratfunc_series,
+    row_reduce,
+    to_mpf,
 )
 from seqlim.recurrence import (
     InitialConditions,
     Recurrence,
     SolutionTable,
-    casoratian,
+    casoratian_series,
 )
 from seqlim.recognize import eval_constant, integer_relation, recognize_constant
 from seqlim.sums import FamilySpec, guessed_family_recurrence
@@ -97,18 +100,6 @@ def quotients(primary: SolutionTable, secondary: SolutionTable, upto: int) -> li
     return out
 
 
-def _casoratian_series(rec: Recurrence, primary: SolutionTable,
-                       secondary: SolutionTable, upto: int) -> list[Fraction]:
-    """w(0..upto) from the product rule, seeded with the actual w(0)."""
-    w0 = casoratian(rec, [primary, secondary], 0)
-    p0 = rec.p(0)
-    out = [w0]
-    sign = 1 if rec.order % 2 == 0 else -1
-    for n in range(upto):
-        out.append(sign * p0(n) * out[-1])
-    return out
-
-
 def difference_identity_check(primary: SolutionTable, secondary: SolutionTable,
                               upto: int) -> bool:
     """Exact check of Q(n) - Q(n-1) = w(n-1)/(A(n-1) A(n)) for 1 <= n <= upto."""
@@ -116,7 +107,7 @@ def difference_identity_check(primary: SolutionTable, secondary: SolutionTable,
     if rec.order != 2:
         raise ValueError("difference identity requires an order-2 recurrence")
     q = quotients(primary, secondary, upto)
-    w = _casoratian_series(rec, primary, secondary, upto)
+    w = casoratian_series(rec, [primary, secondary], upto)
     for n in range(1, upto + 1):
         if q[n] - q[n - 1] != w[n - 1] / (primary.term(n - 1) * primary.term(n)):
             return False
@@ -216,7 +207,7 @@ def apery_limit(primary: SolutionTable, secondary: SolutionTable,
             diffs = [q(i) - q(i - 1) for i in range(n - _RATIO_WINDOW - 1, n + 1)]
             if any(d == 0 for d in diffs):
                 raise NotConverging("zero quotient differences; nothing to extrapolate")
-            fd = [mpf(d.numerator) / mpf(d.denominator) for d in diffs]
+            fd = [to_mpf(d) for d in diffs]
             ratios = [abs(fd[i + 1] / fd[i]) for i in range(len(fd) - 1)]
             rho = max(ratios[-_RATIO_WINDOW:])
             if rho < 1:
@@ -310,9 +301,7 @@ def linear_form_decay(primary: SolutionTable, secondary: SolutionTable,
     with mpmath.workdps(prec):
         for n in range(upto + 1):
             a, b = primary.term(n), secondary.term(n)
-            val = (mpf(a.numerator) / mpf(a.denominator)) * limit_value.val \
-                - (mpf(scale.numerator) / mpf(scale.denominator)) \
-                * (mpf(b.numerator) / mpf(b.denominator))
+            val = to_mpf(a) * limit_value.val - to_mpf(scale) * to_mpf(b)
             out.append(BigFloat(val, prec))
     return out
 
@@ -399,33 +388,6 @@ def series_limit(a_polys: Sequence, b_polys: Sequence, center, order: int,
 # ----------------------------------------------------------------------
 
 
-def _exact_nullspace(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
-    a = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(width):
-        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(len(a)):
-            if r != rank and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        pivots.append(col)
-        rank += 1
-    basis = []
-    for free in (c for c in range(width) if c not in pivots):
-        v = [Fraction(0)] * width
-        v[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][free]
-        basis.append(v)
-    return basis
-
-
 def _negative_index_rows(rec: Recurrence) -> list[list[Fraction]]:
     """Constraints on (u(0), ..., u(m-1)) from the relation at n = -1, -2, ...
 
@@ -460,19 +422,19 @@ def vanishing_start_solution(rec: Recurrence, upto: int,
         table.evaluate(upto)
         return table
     rows = [[Fraction(1 if i == 0 else 0) for i in range(m)]]
-    basis = _exact_nullspace(rows, m)
+    basis = nullspace(rows, m)
     for row in _negative_index_rows(rec):
         if len(basis) == 1:
             break
         rows.append(row)
-        basis = _exact_nullspace(rows, m)
+        basis = nullspace(rows, m)
     if len(basis) > 1 and extra_pins:
         for idx, val in extra_pins:
             row = [Fraction(0)] * m
             row[idx] = Fraction(1)
             row[1] = -Fraction(val)  # u(idx) = val * u(1)
             rows.append(row)
-        basis = _exact_nullspace(rows, m)
+        basis = nullspace(rows, m)
     if len(basis) != 1:
         raise UnderdeterminedSolution(len(basis))
     v = basis[0]
@@ -484,16 +446,24 @@ def vanishing_start_solution(rec: Recurrence, upto: int,
     return table
 
 
-_FRANEL_EXTRA_PINS = {10: ((2, Fraction(381, 4)),)}
+#: The supported power-sum (franel) families, d -> (kills, pins).  ``kills``
+#: are the constants the franel-zeta4 tertiary solve cancels (none where the
+#: order leaves no free value); ``pins`` fix the dimension that the
+#: negative-index relations leave open in the secondary solution.
+POWER_SUMS = {3: ((), ()), 4: ((), ()), 5: (("zeta2",), ()), 6: (("zeta2",), ()),
+              7: (("zeta2", "zeta6"), ()), 8: (("zeta2", "zeta6"), ()),
+              9: (("zeta2", "zeta6", "zeta8"), ()),
+              10: (("zeta2", "zeta6", "zeta8"), ((2, Fraction(381, 4)),))}
 
 
 def franel_secondary(d: int, upto: int, rec: Recurrence | None = None) -> SolutionTable:
     """Secondary solution B for the d-th power-sum family, cached to ``upto``."""
-    if not 3 <= d <= 10:
-        raise ValueError("power-sum secondary construction supports 3 <= d <= 10")
+    if d not in POWER_SUMS:
+        raise ValueError(f"power-sum secondary construction supports d in "
+                         f"{min(POWER_SUMS)}..{max(POWER_SUMS)}")
     if rec is None:
         rec = guessed_family_recurrence(FamilySpec("franel", d=d))
-    return vanishing_start_solution(rec, upto, _FRANEL_EXTRA_PINS.get(d, ()))
+    return vanishing_start_solution(rec, upto, POWER_SUMS[d][1])
 
 
 # ----------------------------------------------------------------------
@@ -525,8 +495,7 @@ def _float_quotient_limits(rec: Recurrence, inits: Sequence[Sequence[Fraction]],
     m = rec.order
     dps = precision + 40
     with mpmath.workdps(dps):
-        a, *us = [[mpf(Fraction(v).numerator) / mpf(Fraction(v).denominator)
-                   for v in values] for values in [primary_init, *inits]]
+        a, *us = [[to_mpf(v) for v in values] for values in [primary_init, *inits]]
         last, out = [None] * len(us), [None] * len(us)
         active = list(range(len(us)))
         tol = mpf(10) ** (-(precision + 8))
@@ -628,9 +597,10 @@ def _cancel_by_recognition(limits, basis_names, target, nfree):
     rows = [[combos[1 + i].get(name, Fraction(0)) for i in range(nfree)]
             for name in kill_names]
     rhs = [-combos[0].get(name, Fraction(0)) for name in kill_names]
-    sol = _solve_square(rows, rhs)
-    if sol is None:
+    pivots, reduced, _ = row_reduce([r + [b] for r, b in zip(rows, rhs)], nfree)
+    if len(pivots) < nfree:
         raise DegenerateSystem("kill components are linearly dependent")
+    sol = [r[-1] for r in reduced]
     lam = combos[0].get(target, Fraction(0)) \
         + sum(t * combos[1 + i].get(target, Fraction(0)) for i, t in enumerate(sol))
     return sol, lam
@@ -667,26 +637,10 @@ def _relation_survives(solution, rec, inits, primary_init, target, precision):
     with mpmath.workdps(precision + 10):
         acc = limits[0].val
         for t, lv in zip(t_values, limits[1:]):
-            acc += mpf(t.numerator) / mpf(t.denominator) * lv.val
+            acc += to_mpf(t) * lv.val
         expected = eval_constant(target, precision).val \
             * mpf(lam.numerator) / mpf(lam.denominator)
         size = max(1, abs(lam.numerator), abs(lam.denominator),
                    *(max(abs(t.numerator), abs(t.denominator)) for t in t_values))
         return abs(acc - expected) < mpf(10) ** (GUARD_DIGITS - precision) * size
 
-
-def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    n = len(rows)
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][-1] for i in range(n)]

@@ -23,7 +23,7 @@ from typing import Sequence
 import mpmath
 from mpmath import mpf
 
-from seqlim.arith import GUARD_DIGITS, BigFloat
+from seqlim.arith import GUARD_DIGITS, BigFloat, to_mpf
 
 
 class RecognitionError(Exception):
@@ -56,7 +56,7 @@ def _atanh_small(t: Fraction, dps: int, alternate: bool = False) -> mpf:
     """
     p2, q2 = t.numerator ** 2, t.denominator ** 2
     with mpmath.workdps(dps):
-        term = mpf(t.numerator) / mpf(t.denominator)
+        term = to_mpf(t)
         total = mpf(0)
         k = 0
         floor = mpf(10) ** (-dps)
@@ -81,7 +81,7 @@ def _hurwitz_em(s: int, a: Fraction, dps: int) -> mpf:
     """
     with mpmath.workdps(dps):
         cut = int(0.45 * dps) + 15
-        af = mpf(a.numerator) / mpf(a.denominator)
+        af = to_mpf(a)
         total = mpf(0)
         for n in range(cut):
             total += (n + af) ** (-s)
@@ -94,8 +94,7 @@ def _hurwitz_em(s: int, a: Fraction, dps: int) -> mpf:
         k = 1
         while True:
             b = bernoulli(2 * k)
-            term = (mpf(b.numerator) / mpf(b.denominator)) / mpmath.factorial(2 * k) \
-                * rising * power
+            term = to_mpf(b) / mpmath.factorial(2 * k) * rising * power
             total += term
             if abs(term) < floor:
                 break

@@ -40,6 +40,8 @@ from seqlim.arith import (
     RatFunc,
     poly_from_text,
     poly_to_text,
+    row_reduce,
+    to_mpf,
 )
 
 
@@ -269,28 +271,6 @@ class SolutionTable:
 # ----------------------------------------------------------------------
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
-
-
 def casoratian(rec: Recurrence, sols: Sequence[SolutionTable], n: int) -> Fraction:
     """Determinant of the d x d window [sols_j(n + i)] (discrete Wronskian)."""
     d = rec.order
@@ -299,23 +279,23 @@ def casoratian(rec: Recurrence, sols: Sequence[SolutionTable], n: int) -> Fracti
     for s in sols:
         if not s.recurrence.proportional_to(rec):
             raise ValueError("solution does not belong to this recurrence")
-    return _det([[s.term(n + i) for s in sols] for i in range(d)])
+    return row_reduce([[s.term(n + i) for s in sols] for i in range(d)], d)[2]
+
+
+def casoratian_series(rec: Recurrence, sols: Sequence[SolutionTable], upto: int) -> list[Fraction]:
+    """w(0..upto) from the product rule w(n+1) = (-1)^d p_0(n) w(n) and the actual w(0)."""
+    p0 = rec.p(0)
+    out = [casoratian(rec, sols, 0)]
+    sign = 1 if rec.order % 2 == 0 else -1
+    for n in range(upto):
+        out.append(sign * p0(n) * out[-1])
+    return out
 
 
 def casoratian_check(rec: Recurrence, sols: Sequence[SolutionTable], upto: int) -> bool:
     """Exact check of w(n) = (-1)^(d n) p_0(0) ... p_0(n-1) w(0) for n <= upto."""
-    d = rec.order
-    w0 = casoratian(rec, sols, 0)
-    p0 = rec.p(0)
-    prod = Fraction(1)
-    sign = 1 if d % 2 == 0 else -1
-    expected = w0
-    for n in range(upto + 1):
-        if casoratian(rec, sols, n) != expected:
-            return False
-        prod *= p0(n)
-        expected = (sign ** (n + 1)) * prod * w0
-    return True
+    return all(casoratian(rec, sols, n) == w
+               for n, w in enumerate(casoratian_series(rec, sols, upto)))
 
 
 def secondary_from_primary(rec: Recurrence, primary: SolutionTable, upto: int) -> SolutionTable:
@@ -407,7 +387,7 @@ def characteristic_roots(p: Poly, precision: int) -> CharRoots:
     monic = [c / p.leading for c in p.coeffs]
     work = precision + 15
     with mpmath.workdps(work):
-        coeffs = [mpf(c.numerator) / mpf(c.denominator) for c in monic]
+        coeffs = [to_mpf(c) for c in monic]
         radius = 1 + max(abs(c) for c in coeffs[:-1])
         roots = []
         for j in range(d):
@@ -472,7 +452,7 @@ def poincare_classify(sol, roots: CharRoots, upto: int) -> GrowthClass:
         if a == 0:
             raise ZeroTail(f"u({upto}) = 0; pick a different N")
         with mpmath.workdps(prec):
-            ratio = (mpf(b.numerator) / mpf(b.denominator)) / (mpf(a.numerator) / mpf(a.denominator))
+            ratio = to_mpf(b) / to_mpf(a)
     else:
         seq = [v.val if isinstance(v, BigFloat) else mpf(v) for v in sol]
         if upto + 1 >= len(seq):

@@ -199,6 +199,17 @@ def family_recurrence(spec: FamilySpec) -> Recurrence:
     return guessed_family_recurrence(spec)
 
 
+def primary_init(spec: FamilySpec, rec: Recurrence) -> InitialConditions:
+    """Initial values of the primary solution A of the family's recurrence.
+
+    A recurrence asserted from n = -1 starts from (0, 1) at n = -1; any
+    other starts from the family's first ``rec.order`` terms.
+    """
+    if rec.offset <= -1:
+        return InitialConditions(-1, [0, 1])
+    return InitialConditions(0, family_terms(spec, rec.order - 1))
+
+
 def family_pair(spec: FamilySpec, max_order: int = 5) -> tuple[SolutionTable, SolutionTable]:
     """Primary solution A (family values) and secondary B (0, 1 start).
 
@@ -210,10 +221,7 @@ def family_pair(spec: FamilySpec, max_order: int = 5) -> tuple[SolutionTable, So
         raise InvalidParameter(
             f"family {spec.name!r} has an order-{rec.order} recurrence; "
             "use the vanishing-initial-condition constructions instead")
-    if rec.offset <= -1:
-        primary = SolutionTable(rec, InitialConditions(-1, [0, 1]))
-    else:
-        primary = SolutionTable(rec, InitialConditions(0, family_terms(spec, 1)))
+    primary = SolutionTable(rec, primary_init(spec, rec))
     secondary = SolutionTable(rec, InitialConditions(0, [0, 1]))
     return primary, secondary
 

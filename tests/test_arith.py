@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -13,6 +14,7 @@ from seqlim.arith import (
     Poly,
     RatFunc,
     Series,
+    nullspace,
     poly_eval,
     poly_from_text,
     poly_to_text,
@@ -20,6 +22,7 @@ from seqlim.arith import (
     ratfunc_from_text,
     ratfunc_series,
     ratfunc_to_text,
+    row_reduce,
 )
 
 F = Fraction
@@ -210,3 +213,75 @@ def test_fraction_addition_matches_bruteforce(an, ad, bn, bd):
         num //= g
         den //= g
     assert (got.numerator, got.denominator) == (num, den)
+
+
+# ----------------------------------------------------------------------
+# Exact elimination against independent references
+# ----------------------------------------------------------------------
+
+
+def _cofactor_det(m):
+    if not m:
+        return F(1)
+    return sum((-1) ** j * m[0][j] * _cofactor_det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j in range(len(m)))
+
+
+def _minor_rank(m, width):
+    """Size of the largest nonvanishing minor."""
+    for k in range(min(len(m), width), 0, -1):
+        for rs in combinations(range(len(m)), k):
+            for cs in combinations(range(width), k):
+                if _cofactor_det([[m[i][j] for j in cs] for i in rs]) != 0:
+                    return k
+    return 0
+
+
+@st.composite
+def _fraction_matrices(draw, square=False):
+    """Sparse matrices, whose zero pivots force row swaps, or products of
+    n x r and r x width factors, so that every rank up to 5 occurs."""
+    n = draw(st.integers(1, 5))
+    width = n if square else draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        entry = st.sampled_from([F(0), F(0), F(0), F(1), F(-2), F(1, 3)])
+        return draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                             min_size=n, max_size=n)), width
+    r = draw(st.integers(0, min(n, width)))
+    entry = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    left = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=n, max_size=n))
+    right = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                          min_size=r, max_size=r))
+    return [[sum((row[k] * right[k][j] for k in range(r)), F(0)) for j in range(width)]
+            for row in left], width
+
+
+@given(_fraction_matrices(square=True))
+@settings(max_examples=200, deadline=None)
+def test_row_reduce_determinant_is_the_cofactor_expansion(case):
+    m, n = case
+    before = [list(r) for r in m]
+    assert row_reduce(m, n)[2] == _cofactor_det(m)
+    assert m == before
+
+
+@given(_fraction_matrices())
+@settings(max_examples=200, deadline=None)
+def test_nullspace_annihilates_and_has_full_dimension(case):
+    m, width = case
+    basis = nullspace(m, width)
+    assert len(basis) == width - _minor_rank(m, width)
+    assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m for v in basis)
+    assert _minor_rank(basis, width) == len(basis)
+
+
+@given(_fraction_matrices(square=True),
+       st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 5)), min_size=5, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_row_reduce_solves_exactly_the_nonsingular_systems(case, rhs):
+    m, n = case
+    pivots, reduced, _ = row_reduce([r + [b] for r, b in zip(m, rhs)], n)
+    assert (len(pivots) == n) == (_cofactor_det(m) != 0)
+    if len(pivots) == n:
+        x = [r[-1] for r in reduced]
+        assert [sum(a * b for a, b in zip(row, x)) for row in m] == rhs[:n]

@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import seqlim.cli
+import seqlim.sums
 from seqlim.cli import main, render_json
 from seqlim.recurrence import guess_window
 
@@ -172,6 +175,69 @@ class TestLimit:
                                  "--recognize", "one,ln2,pi,zeta2,zeta3,catalan,L3")
         assert code == 0, err
         assert "1/2*ln2" in out
+
+
+class TestSpecs:
+    @pytest.mark.parametrize("argv", [
+        ("limit", "--rec", "delannoy:x=3", "--digits", "20"),
+        ("limit", "--rec", "apery3:d=7", "--digits", "20"),
+        ("limit", "--rec", "arctan:x=1/2,y=2", "--digits", "20"),
+        ("limit", "--rec", "arctan:x=", "--digits", "20"),
+        ("limit", "--rec", "arctan:x=1/2,x=1/3", "--digits", "20"),
+        ("limit", "--rec", "franel:d=five", "--digits", "20"),
+        ("limit", "--rec", "nosuch", "--digits", "20"),
+        ("cf", "--from-rec", "delannoy:x=2"),
+        ("cf", "--cf", "arctan:x=3", "--n", "2"),
+        ("cf", "--cf", "log:foo", "--n", "2"),
+        ("cf", "--cf", "nosuch:x=1", "--n", "2"),
+    ], ids=lambda argv: argv[2])
+    def test_unknown_or_inapplicable_parameter_is_usage_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert argv[2] in err
+
+    def test_arctan_is_the_trinomial_family(self, capsys):
+        outs = []
+        for rec in ("arctan:x=3/5", "trinomial_x:x=3/5"):
+            code, out, _ = run_cli(capsys, "limit", "--rec", rec, "--digits", "30", "--json")
+            assert code == 0
+            outs.append(json.loads(out)["results"])
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ("limit", "--rec", "franel:d=11", "--digits", "20"),
+        ("limit", "--rec", "franel:d=2", "--digits", "20"),
+        ("conjecture", "--name", "franel-zeta2", "--d-range", "3..11", "--digits", "30"),
+        ("conjecture", "--name", "franel-zeta4", "--d-range", "4..6", "--digits", "30"),
+    ], ids=lambda argv: " ".join(argv[1:5]))
+    def test_power_sum_d_outside_the_table_fails_before_guessing(self, capsys,
+                                                                monkeypatch, argv):
+        def no_guess(*args, **kwargs):
+            raise AssertionError("guessed before the usage check")
+
+        monkeypatch.setattr(seqlim.sums, "guess_recurrence", no_guess)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "supports d in" in err
+
+    def test_explicit_secondary_skips_the_power_sum_table(self, capsys, monkeypatch):
+        def reached(*args, **kwargs):
+            raise AssertionError("reached the guesser")
+
+        monkeypatch.setattr(seqlim.sums, "guess_recurrence", reached)
+        code, _, err = run_cli(capsys, "limit", "--rec", "franel:d=11",
+                               "--init-b", "0,1", "--digits", "20")
+        assert code == 1
+        assert "reached the guesser" in err
+
+    def test_explicit_secondary_matches_the_default(self, capsys):
+        outs = []
+        for extra in ((), ("--init-b", "0,1,89/12")):
+            code, out, _ = run_cli(capsys, "limit", "--rec", "franel:d=5",
+                                   "--digits", "30", "--json", *extra)
+            assert code == 0
+            outs.append(json.loads(out)["results"])
+        assert outs[0] == outs[1]
 
 
 class TestCf:
