@@ -1,7 +1,6 @@
 """Source hygiene checks over the package modules."""
 
 import ast
-import importlib
 import importlib.util
 import sys
 from pathlib import Path
