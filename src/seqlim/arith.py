@@ -491,11 +491,6 @@ class RatFunc:
     def is_polynomial(self) -> bool:
         return self.denom.degree == 0
 
-    def as_polynomial(self) -> Poly:
-        if not self.is_polynomial:
-            raise ValueError(f"{self!r} is not a polynomial")
-        return self.numer / self.denom.coeffs[0]
-
     def __call__(self, n: RationalLike) -> Fraction:
         n = Fraction(n)
         d = self.denom(n)

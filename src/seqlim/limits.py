@@ -199,9 +199,10 @@ def apery_limit(primary: SolutionTable, secondary: SolutionTable,
         primary.evaluate(n)
         secondary.evaluate(n)
         for i in range(checked + 1, n + 1):
-            if primary.term(i) == 0:
+            if not primary.nonzero(i):
                 raise ZeroDenominatorTerm(i)
-            secondary.term(i)  # a B that starts after index 0 fails here
+            if i == 0:
+                secondary.term(0)  # a B that starts after index 0 fails here
         checked = n
         with mpmath.workdps(prec + 10):
             diffs = [q(i) - q(i - 1) for i in range(n - _RATIO_WINDOW - 1, n + 1)]

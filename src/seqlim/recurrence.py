@@ -28,10 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, takewhile
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import mpmath
-import numpy as np
 from mpmath import mpc, mpf
 
 from seqlim.arith import (
@@ -43,6 +42,9 @@ from seqlim.arith import (
     row_reduce,
     to_mpf,
 )
+
+if TYPE_CHECKING:  # numpy is imported by the guesser alone, when it runs
+    import numpy as np
 
 
 class RecurrenceError(Exception):
@@ -192,9 +194,16 @@ class InitialConditions:
 class SolutionTable:
     """A solution of a recurrence, lazily extended and cached exactly.
 
-    Every read of the cache bound and every write to the cache (stepping,
-    or a term supplied by :meth:`with_term`) holds the lock.
+    ``_terms`` maps each index to its value: a :class:`Fraction` for the
+    initial values, supplied terms and every term already read by
+    :meth:`term`, and an unreduced (numerator, denominator) pair for a term
+    that was stepped but not read yet.  Every read of the cache bound and
+    every write to the cache (stepping, reducing a read term, or a term
+    supplied by :meth:`with_term`) holds the lock.
     """
+
+    #: Steps between the gcds that strip the stepping window's common content.
+    GCD_PERIOD = 16
 
     def __init__(self, recurrence: Recurrence, init: InitialConditions):
         if len(init.values) != recurrence.order:
@@ -207,6 +216,7 @@ class SolutionTable:
         self.init = init
         self._terms = {init.start_index + i: v for i, v in enumerate(init.values)}
         self._top = init.start_index + len(init.values) - 1
+        self._window = None  # (numerators of the last d terms, common denominator)
         self._lock = threading.Lock()
 
     @property
@@ -220,50 +230,86 @@ class SolutionTable:
                 raise ValueError(f"can only append the next term (n = {self._top + 1})")
             self._terms[n] = Fraction(value)
             self._top = n
+            self._window = None
         return self
 
-    def term(self, n: int):
-        """Exact u(n), extending the cache as needed."""
+    def _reach(self, n: int) -> None:
+        """Step the cache through u(n), rejecting indices before the start."""
         if n < self.init.start_index:
             raise ValueError(f"term {n} precedes the initial conditions")
         with self._lock:
             if n <= self._top:
-                return self._terms[n]
+                return
         self.evaluate(n)
-        return self._terms[n]
 
-    def evaluate(self, upto: int) -> list:
-        """Exact terms u(start), ..., u(upto); idempotent cache extension.
+    def _reduced(self, n: int) -> Fraction:
+        """u(n) reduced to a Fraction and stored back; the caller holds the lock."""
+        value = self._terms[n]
+        if type(value) is tuple:
+            value = self._terms[n] = Fraction(*value)
+        return value
 
-        Steps the last d terms as integer numerators over one common
-        denominator, the lcm of every denominator seen in this call.  The
-        gcd that reduces each new term also gives the factor that widens
-        the common denominator, so a step costs one big-number gcd.
+    def term(self, n: int) -> Fraction:
+        """Exact u(n), extending the cache as needed."""
+        self._reach(n)
+        with self._lock:
+            return self._reduced(n)
+
+    def nonzero(self, n: int) -> bool:
+        """u(n) != 0, read from the stored numerator without reducing it."""
+        self._reach(n)
+        with self._lock:
+            value = self._terms[n]
+        return (value[0] if type(value) is tuple else value) != 0
+
+    def terms(self, upto: int) -> list[Fraction]:
+        """Exact terms u(start), ..., u(upto), extending the cache as needed."""
+        self.evaluate(upto)
+        with self._lock:
+            return [self._reduced(n) for n in range(self.init.start_index, upto + 1)]
+
+    def evaluate(self, upto: int) -> None:
+        """Step the cache through u(upto); idempotent.
+
+        The last d terms are carried from call to call as integer numerators
+        over one common denominator.  A step scales them by |c_d| and stores
+        the new term as its unreduced pair, so it costs no gcd; one gcd
+        every :attr:`GCD_PERIOD` steps strips the content the window and its
+        denominator share.
         """
         with self._lock:
+            if self._top >= upto:
+                return
             rec = self.recurrence
             d = rec.order
             terms = self._terms
-            if self._top < upto:
-                window = [terms[i] for i in range(self._top - d + 1, self._top + 1)]
+            if self._window is None:  # new table, or a term was supplied
+                window = [self._reduced(i) for i in range(self._top - d + 1, self._top + 1)]
                 den = lcm(*(t.denominator for t in window))
-                nums = [t.numerator * (den // t.denominator) for t in window]
-            while self._top < upto:
-                m = self._top + 1
-                n = m - d
-                cs = rec.coeffs_at(n)
-                if cs[d] == 0:
-                    raise SingularLeadingCoefficient(n)
-                term = Fraction(-sum(c * u for c, u in zip(cs, nums)), cs[d] * den)
-                g = abs(cs[d]) * den // term.denominator  # gcd cancelled in term
-                r = gcd(g, cs[d])
-                # new common denominator: lcm(den, term.denominator) = den * |c_d| / r
-                scale = abs(cs[d]) // r
-                den *= scale
-                nums = [u * scale for u in nums[1:]] + [term.numerator * (g // r)]
-                terms[m] = term
-                self._top = m
-            return [terms[i] for i in range(self.init.start_index, upto + 1)]
+                self._window = [t.numerator * (den // t.denominator) for t in window], den
+            nums, den = self._window
+            try:
+                while self._top < upto:
+                    m = self._top + 1
+                    n = m - d
+                    cs = rec.coeffs_at(n)
+                    lead = cs[d]
+                    if lead == 0:
+                        raise SingularLeadingCoefficient(n)
+                    num = -sum(c * u for c, u in zip(cs, nums))
+                    if lead < 0:
+                        lead, num = -lead, -num
+                    den *= lead
+                    nums = [u * lead for u in nums[1:]]
+                    nums.append(num)
+                    if m % self.GCD_PERIOD == 0:
+                        g = gcd(den, *nums)
+                        den //= g
+                        nums = [u // g for u in nums]
+                    terms[m] = nums[-1], den
+                    self._top = m
+            finally:
+                self._window = nums, den
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +354,7 @@ def secondary_from_primary(rec: Recurrence, primary: SolutionTable, upto: int) -
     if rec.order != 2:
         raise ValueError("secondary construction requires an order-2 recurrence")
     p0 = rec.p(0)
-    u1 = primary.evaluate(upto + 1)
+    u1 = primary.terms(upto + 1)
     base = primary.start_index
     vals = []
     acc = Fraction(0)
@@ -321,8 +367,7 @@ def secondary_from_primary(rec: Recurrence, primary: SolutionTable, upto: int) -
         w *= p0(n)
     out = SolutionTable(rec, InitialConditions(0, vals[:2]))
     for n in range(2, upto + 1):
-        out._terms[n] = vals[n]
-    out._top = upto
+        out.with_term(n, vals[n])
     return out
 
 
@@ -443,7 +488,7 @@ def poincare_classify(sol, roots: CharRoots, upto: int) -> GrowthClass:
         raise EqualModuli("characteristic roots do not have distinct moduli")
     prec = roots.precision
     if isinstance(sol, SolutionTable):
-        values = sol.evaluate(upto + 1)
+        values = sol.terms(upto + 1)
         lo = sol.start_index
         window = values[max(0, upto - 3 - lo): upto + 2 - lo]
         if all(v == 0 for v in window):
@@ -533,6 +578,8 @@ def _echelon_mod(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     is reduced every K steps, the largest K that keeps the bound (K >= 8192
     for p < 2**25, a handful of steps for p near 2**30).
     """
+    import numpy as np
+
     a %= p
     rows, cols = a.shape
     period = (2**63 - p - 1) // (p - 1) ** 2
@@ -566,6 +613,8 @@ def _null_vector_mod(ech: np.ndarray, pivots: list[int], f: int, p: int) -> list
     Back substitution gives the pivots right of f the value 0, so the vector
     lives on columns 0..f and only the pivot rows left of f are read.
     """
+    import numpy as np
+
     v = np.zeros(f + 1, dtype=np.int64)
     v[f] = 1
     for i in range(bisect_left(pivots, f) - 1, -1, -1):
@@ -604,6 +653,8 @@ def guess_window(total: int, order: int, max_degree: int) -> tuple[int, int]:
 def _window_matrix_mod(ints, order: int, rows: int, cols: int, p: int) -> np.ndarray:
     """The first ``cols`` degree-major columns mod p: column j*(order+1)+k
     holds n**j * u(n+k) for the relation indices n < rows."""
+    import numpy as np
+
     res = np.array([t % p for t in ints[:rows + order]], dtype=np.int64)
     window = np.stack([res[k:k + rows] for k in range(order + 1)], axis=1)
     out = np.empty((rows, cols), dtype=np.int64)

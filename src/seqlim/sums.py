@@ -27,6 +27,10 @@ class InvalidParameter(ValueError):
     pass
 
 
+class NoRecurrenceFound(Exception):
+    """Guessing found no recurrence within its bounds: a computation failure."""
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A catalog family together with its parameter values."""
@@ -181,7 +185,7 @@ def guessed_family_recurrence(spec: FamilySpec, max_order: int = 5,
     terms = family_terms(spec, need + 10)
     rec = guess_recurrence(terms, max_order, max_degree)
     if rec is None:
-        raise InvalidParameter(f"no recurrence found for {spec} within bounds")
+        raise NoRecurrenceFound(f"no recurrence found for {spec} within bounds")
     _GUESSED[key] = rec
     return rec
 

@@ -230,6 +230,13 @@ class TestSpecs:
         assert code == 1
         assert "reached the guesser" in err
 
+    def test_no_guessed_recurrence_is_computation_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(seqlim.sums, "guess_recurrence", lambda *args, **kwargs: None)
+        code, _, err = run_cli(capsys, "limit", "--rec", "franel:d=11",
+                               "--init-b", "0,1", "--digits", "20")
+        assert code == 1
+        assert "no recurrence found" in err
+
     def test_explicit_secondary_matches_the_default(self, capsys):
         outs = []
         for extra in ((), ("--init-b", "0,1,89/12")):
@@ -343,3 +350,27 @@ class TestInstalledEntryPoint:
             [sys.executable, "-m", "seqlim.cli", "family", "--n", "3"],
             capture_output=True, text=True)
         assert proc.returncode == 2
+
+
+_NUMPY_PROBE = """
+import sys
+import seqlim.cli
+from seqlim import recognize
+
+recognize._validate_catalog()
+loaded = ["numpy" in sys.modules]
+assert seqlim.cli.main(["limit", "--rec", "delannoy", "--digits", "30"]) == 0
+loaded.append("numpy" in sys.modules)
+assert seqlim.cli.main(["guess", "--terms-from", "delannoy", "--max-order", "2",
+                        "--max-degree", "2"]) == 0
+loaded.append("numpy" in sys.modules)
+print("loaded", *loaded)
+"""
+
+
+def test_only_the_guesser_loads_numpy():
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # after import and the catalog check, after a limit, after a guess
+    assert proc.stdout.splitlines()[-1] == "loaded False False True"

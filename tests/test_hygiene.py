@@ -21,26 +21,53 @@ def _traced_functions():
     return layers.TRACED
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_imports(scope):
+    """Import statements of a module or function, outside its nested scopes."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def unused_imports(source: str) -> list[str]:
-    """Names bound by module-level imports that nothing in the module reads."""
+    """Names bound by imports, at module level or inside a function, that
+    nothing in the importing scope reads."""
     tree = ast.parse(source)
-    bound = {}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                bound[alias.asname or alias.name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return [f"{name} (line {line})" for name, line in sorted(bound.items())
-            if name not in used]
+    scopes = [tree] + [n for n in ast.walk(tree)
+                       if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    out = []
+    for scope in scopes:
+        bound = {}
+        for node in _own_imports(scope):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        out += [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+    return sorted(out)
 
 
 def test_scanner_flags_only_unread_names():
     source = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
               "from math import gcd, lcm\nx = np.zeros(gcd(4, 6))\n")
     assert unused_imports(source) == ["lcm (line 4)", "os (line 2)"]
+
+
+def test_scanner_flags_unread_function_local_imports():
+    source = ("def f():\n    import numpy as np\n    from math import gcd\n"
+              "    return gcd(4, 6)\n\n"
+              "def g():\n    import numpy as np\n\n"
+              "    def inner():\n        return np.zeros(3)\n    return inner\n")
+    assert unused_imports(source) == ["np (line 2)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -100,7 +100,7 @@ class TestCoefficientKernel:
             tab.evaluate(20)
         assert err.value.n == root
         tab.with_term(root + 3, 0)  # the blocked value, supplied explicitly
-        assert len(tab.evaluate(root + 5)) == root + 11
+        assert len(tab.terms(root + 5)) == root + 11
 
 
 def _one_vector_reference(rec, init, primary_init, precision, max_terms=6000):
@@ -148,7 +148,7 @@ class TestBatchedQuotientLimits:
 class TestEvaluate:
     def test_delannoy_terms(self, delannoy):
         a, _ = delannoy
-        assert a.evaluate(4) == [0, 1, 3, 13, 63, 321]
+        assert a.terms(4) == [0, 1, 3, 13, 63, 321]
 
     def test_delannoy_secondary(self, delannoy):
         a, b = delannoy
@@ -161,7 +161,7 @@ class TestEvaluate:
 
     def test_reevaluation_idempotent(self, delannoy):
         a, _ = delannoy
-        assert a.evaluate(10) == a.evaluate(10)
+        assert a.terms(10) == a.terms(10)
 
     def test_singular_leading_coefficient(self):
         # leading coefficient (n-1) vanishes when stepping over n = 1
@@ -203,7 +203,7 @@ class TestFractionFreeStepping:
         start = max(rec.offset, 0)
         values = _rational_init(rec)
         tab = SolutionTable(rec, InitialConditions(start, values))
-        got = tab.evaluate(300)
+        got = tab.terms(300)
         assert got == _fraction_stepping(rec, start, values, 300)
         assert all(type(t) is F for t in got)
 
@@ -213,7 +213,7 @@ class TestFractionFreeStepping:
         want = _fraction_stepping(rec, 0, values, 300)
         tab = SolutionTable(rec, InitialConditions(0, values))
         for upto in (10, 57, 300):
-            assert tab.evaluate(upto) == want[:upto + 1]
+            assert tab.terms(upto) == want[:upto + 1]
             assert tab.term(upto // 2) == want[upto // 2]
 
     def test_supplied_term_between_extensions(self):
@@ -221,7 +221,7 @@ class TestFractionFreeStepping:
         tab = SolutionTable(rec, InitialConditions(0, [1, 5]))
         tab.evaluate(40)
         tab.with_term(41, F(7, 11))
-        got = tab.evaluate(120)
+        got = tab.terms(120)
         assert got == _fraction_stepping(rec, 0, [1, 5], 120, {41: F(7, 11)})
 
     @pytest.mark.parametrize("make", [
@@ -233,9 +233,62 @@ class TestFractionFreeStepping:
         tab = make()
         start = tab.start_index
         values = tab.init.values
-        got = tab.evaluate(300)
+        got = tab.terms(300)
         assert got == _fraction_stepping(tab.recurrence, start, values, 300)
         assert got[-1].denominator > 10**100
+
+
+class TestLazyReduction:
+    K = SolutionTable.GCD_PERIOD
+
+    @pytest.mark.parametrize("make", [
+        apery3_recurrence,
+        lambda: guessed_family_recurrence(FamilySpec("franel", d=5)),
+        # leading coefficient 2n - 33 is negative up to n = 16
+        lambda: Recurrence([Poly([1, 1]), Poly([3]), Poly([-33, 2])]),
+    ], ids=["apery3", "franel5", "negative_lead"])
+    def test_interleaved_reads_at_gcd_boundaries(self, make):
+        rec, K = make(), self.K
+        values = _rational_init(rec)
+        upto = 6 * K + 1
+        supplied = {3 * K + 1: F(7, 11)}
+        want = _fraction_stepping(rec, 0, values, upto, supplied)
+        tab = SolutionTable(rec, InitialConditions(0, values))
+        assert tab.term(K - 1) == want[K - 1]
+        tab.evaluate(K)
+        assert tab.term(K + 1) == want[K + 1]
+        tab.evaluate(2 * K - 1)
+        assert tab.nonzero(2 * K) == (want[2 * K] != 0)
+        assert tab.term(2 * K) == want[2 * K]
+        tab.evaluate(3 * K)
+        tab.with_term(3 * K + 1, supplied[3 * K + 1])
+        assert tab.term(4 * K - 1) == want[4 * K - 1]
+        tab.evaluate(4 * K + 1)
+        assert tab.term(4 * K) == want[4 * K]
+        tab.evaluate(5 * K)
+        for j in range(1, 7):
+            for n in (j * K - 1, j * K, j * K + 1):
+                assert tab.term(n) == want[n]
+        got = tab.terms(upto)
+        assert got == want
+        assert all(type(t) is F for t in got)
+
+    def test_nonzero_reads_the_numerator(self):
+        # Legendre polynomials at 0: (n+2) u(n+2) + (n+1) u(n) = 0, zero at odd n
+        rec = Recurrence([Poly([1, 1]), Poly(), Poly([2, 1])])
+        tab = SolutionTable(rec, InitialConditions(0, [1, 0]))
+        upto = 3 * self.K + 2
+        tab.evaluate(upto)
+        flags = [tab.nonzero(n) for n in range(upto + 1)]
+        assert flags == [n % 2 == 0 for n in range(upto + 1)]
+        assert flags == [tab.term(n) != 0 for n in range(upto + 1)]
+        assert flags == [tab.nonzero(n) for n in range(upto + 1)]
+        assert tab.terms(upto) == _fraction_stepping(rec, 0, [1, 0], upto)
+
+    def test_nonzero_before_the_start_is_rejected(self):
+        tab = SolutionTable(delannoy_recurrence(), InitialConditions(0, [1, 3]))
+        with pytest.raises(ValueError, match="precedes"):
+            tab.nonzero(-1)
 
 
 class TestCasoratian:
@@ -581,7 +634,7 @@ class TestConcurrency:
         assert not any(t.is_alive() for t in threads)
         assert not errors
         fresh = SolutionTable(delannoy_recurrence(), InitialConditions(-1, [0, 1]))
-        assert a.evaluate(400) == fresh.evaluate(400)
+        assert a.terms(400) == fresh.terms(400)
 
 
 class TestTextFormat:
