@@ -231,8 +231,10 @@ def cmd_guess(args) -> Report:
         raise UsageError("give exactly one of --terms-from or --terms-file")
     if args.max_order < 1 or args.max_degree < 0:
         raise UsageError("--max-order must be >= 1 and --max-degree >= 0")
+    if args.n_terms is not None and args.n_terms < 1:
+        raise UsageError("--n-terms must be >= 1")
     needed = (args.max_order + 1) * (args.max_degree + 1) + args.max_order + 15
-    count = args.n_terms or needed
+    count = needed if args.n_terms is None else args.n_terms
     if args.terms_from:
         spec = _family_spec(argparse.Namespace(
             family=args.terms_from, d=args.d, x=args.x, symbolic_x=False))
@@ -378,6 +380,8 @@ def cmd_cf(args) -> Report:
     report = Report("cf")
     if bool(args.cf) == bool(args.from_rec):
         raise UsageError("give exactly one of --cf or --from-rec")
+    if args.n < 0:
+        raise UsageError("--n must be >= 0")
     if args.cf:
         cf = _parse_cf_spec(args.cf)
         report.inputs = {"cf": args.cf, "n": str(args.n)}

@@ -65,6 +65,8 @@ class ContinuedFraction:
 
 def convergents(cf: ContinuedFraction, upto: int) -> list[Fraction]:
     """C_0, ..., C_upto; raises ZeroDenominatorConvergent on a vanishing A(n)."""
+    if upto < 0:
+        raise ValueError(f"convergent index must be >= 0, got {upto}")
     cap = cf.levels()
     if cap is not None and upto > cap:
         raise ValueError(f"finite continued fraction has only {cap} levels")

@@ -1,7 +1,8 @@
 """Exact evaluators for the built-in binomial-sum families.
 
-Each family is a closed-form summand evaluated by direct summation with
-exact integer binomials, either at a rational parameter value or, for the
+Each family is a closed-form summand t(n, k) with its hypergeometric term
+ratio t(n, k+1)/t(n, k).  A value is summed by stepping the summand through
+that ratio in exact integers, at a rational parameter value or, for the
 ``*_x`` families, symbolically in x (returning a polynomial).  The module
 also carries the known recurrences for the classical families and falls
 back to guessing a recurrence from terms for the rest.
@@ -61,7 +62,18 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class _Family:
-    summand: Callable  # (n, k, x) -> coefficient of x^k, or plain term
+    """A summand t(n, k) with its term ratio t(n, k+1)/t(n, k) = p/q.
+
+    ``summand`` defines the family and gives the first nonzero term, at
+    k = ``first(n)`` (0 for the x families, whose Poly starts at x^0);
+    every later term is stepped exactly as t * p // q.  A ``symmetric``
+    summand satisfies t(n, k) = t(n, n - k).
+    """
+
+    summand: Callable  # (n, k) -> coefficient of x^k, or plain term; (n, k, d) if takes_d
+    ratio: Callable  # (n, k, d) -> (p, q), integers, q != 0 for first(n) <= k < n
+    first: Callable = lambda n: 0
+    symmetric: bool = False
     takes_d: bool = False
     takes_x: bool = False
 
@@ -70,29 +82,73 @@ def _delannoy_term(n, k):
     return comb(n, k) * comb(n + k, k)
 
 
+def _delannoy_ratio(e):
+    """The ratio of C(n,k) C(n+k,k)^e."""
+    return lambda n, k, d: ((n - k) * (n + k + 1) ** e, (k + 1) ** (e + 1))
+
+
 FAMILIES = {
     # sum of C(n,k) C(n+k,k), the central Delannoy numbers
-    "delannoy": _Family(lambda n, k: _delannoy_term(n, k)),
+    "delannoy": _Family(_delannoy_term, _delannoy_ratio(1)),
     # sum of C(n,k) C(n+k,k) x^k
-    "delannoy_x": _Family(lambda n, k: _delannoy_term(n, k), takes_x=True),
+    "delannoy_x": _Family(_delannoy_term, _delannoy_ratio(1), takes_x=True),
     # sum of C(n,k)^2 C(n+k,k)^2
-    "apery3": _Family(lambda n, k: comb(n, k) ** 2 * comb(n + k, k) ** 2),
+    "apery3": _Family(lambda n, k: _delannoy_term(n, k) ** 2,
+                      lambda n, k, d: (((n - k) * (n + k + 1)) ** 2, (k + 1) ** 4)),
     # sum of C(n,k)^d
-    "franel": _Family(lambda n, k, d: comb(n, k) ** d, takes_d=True),
+    "franel": _Family(lambda n, k, d: comb(n, k) ** d,
+                      lambda n, k, d: ((n - k) ** d, (k + 1) ** d),
+                      symmetric=True, takes_d=True),
     # sum of C(n,2k) x^k
-    "even_binomial_x": _Family(lambda n, k: comb(n, 2 * k), takes_x=True),
+    "even_binomial_x": _Family(lambda n, k: comb(n, 2 * k),
+                               lambda n, k, d: ((n - 2 * k) * (n - 2 * k - 1),
+                                                (2 * k + 1) * (2 * k + 2)),
+                               takes_x=True),
     # sum of C(n-k,k) x^k (Fibonacci polynomials, shifted)
-    "fibonacci_x": _Family(lambda n, k: comb(n - k, k) if n - k >= 0 else 0, takes_x=True),
+    "fibonacci_x": _Family(lambda n, k: comb(n - k, k),
+                           lambda n, k, d: ((n - 2 * k) * (n - 2 * k - 1), (k + 1) * (n - k)),
+                           takes_x=True),
     # sum of C(n,k) C(n-k,k) x^k (trinomial-type)
-    "trinomial_x": _Family(lambda n, k: comb(n, k) * (comb(n - k, k) if n - k >= 0 else 0),
+    "trinomial_x": _Family(lambda n, k: comb(n, k) * comb(n - k, k),
+                           lambda n, k, d: ((n - 2 * k) * (n - 2 * k - 1), (k + 1) ** 2),
                            takes_x=True),
     # sum of C(n,k) C(n+k,k)^2 x^k
-    "delannoy_sq_x": _Family(lambda n, k: comb(n, k) * comb(n + k, k) ** 2, takes_x=True),
+    "delannoy_sq_x": _Family(lambda n, k: comb(n, k) * comb(n + k, k) ** 2,
+                             _delannoy_ratio(2), takes_x=True),
     # sum of C(n,k) C(n+k,k)^3 x^k
-    "delannoy_cube_x": _Family(lambda n, k: comb(n, k) * comb(n + k, k) ** 3, takes_x=True),
-    # sum of C(n,k)^2 C(3k,n); C(3k,n) contributes 0 when 3k < n
-    "binom_sq_3k": _Family(lambda n, k: comb(n, k) ** 2 * comb(3 * k, n)),
+    "delannoy_cube_x": _Family(lambda n, k: comb(n, k) * comb(n + k, k) ** 3,
+                               _delannoy_ratio(3), takes_x=True),
+    # sum of C(n,k)^2 C(3k,n); C(3k,n) vanishes for 3k < n, so the sum starts
+    # at k = ceil(n/3), where no factor 3k+j-n of the ratio's q is 0
+    "binom_sq_3k": _Family(lambda n, k: comb(n, k) ** 2 * comb(3 * k, n),
+                           lambda n, k, d: ((n - k) ** 2 * (3 * k + 3) * (3 * k + 2) * (3 * k + 1),
+                                            (k + 1) ** 2 * (3 * k + 3 - n) * (3 * k + 2 - n)
+                                            * (3 * k + 1 - n)),
+                           first=lambda n: -(-n // 3)),
 }
+
+
+def _summands(fam: _Family, n: int, d: int | None, num: int = 1, den: int = 1) -> list[int]:
+    """t(n, k) num^k den^(n-k) from k = first(n), stepped by the term ratio.
+
+    With num = den = 1 these are the summands themselves.  A symmetric
+    family stops at the middle term k = n // 2, every family at its first
+    zero term, and the ratio is never formed at k = n.
+    """
+    k = fam.first(n)
+    t = fam.summand(n, k, d) if fam.takes_d else fam.summand(n, k)
+    t *= num ** k * den ** (n - k)
+    last = n // 2 if fam.symmetric else n
+    terms = [t]
+    ratio = fam.ratio
+    while k < last:
+        p, q = ratio(n, k, d)
+        t = t * (p * num) // (q * den)
+        if not t:
+            break
+        terms.append(t)
+        k += 1
+    return terms
 
 
 def eval_family(spec: FamilySpec, n: int):
@@ -100,20 +156,17 @@ def eval_family(spec: FamilySpec, n: int):
     if n < 0:
         raise InvalidParameter(f"family index must be >= 0, got {n}")
     fam = FAMILIES[spec.name]
-    if fam.takes_d:
-        terms = [fam.summand(n, k, spec.d) for k in range(n + 1)]
-    else:
-        terms = [fam.summand(n, k) for k in range(n + 1)]
+    if fam.takes_x and not spec.symbolic_x:
+        # t_k x^k = t_k num^k den^(n-k) / den^n: integers over one denominator
+        x = Fraction(spec.x)
+        return Fraction(sum(_summands(fam, n, spec.d, x.numerator, x.denominator)),
+                        x.denominator ** n)
+    terms = _summands(fam, n, spec.d)
     if spec.symbolic_x:
         return Poly(terms)
-    if fam.takes_x:
-        # sum t_k num^k den^(n-k) by homogeneous integer Horner, over den^n
-        x = Fraction(spec.x)
-        acc, den_power = 0, 1
-        for t in reversed(terms):
-            acc = acc * x.numerator + t * den_power
-            den_power *= x.denominator
-        return Fraction(acc, x.denominator ** n)
+    if fam.symmetric:
+        # the pairs k, n-k count twice; the middle term of an even n once
+        return Fraction(2 * sum(terms) - (terms[-1] if n % 2 == 0 else 0))
     return Fraction(sum(terms))
 
 

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*argv):
+    """A fresh interpreter that imports the seqlim under test, installed or not."""
+    package_root = str(Path(seqlim.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestFamily:
@@ -87,6 +97,17 @@ class TestGuess:
                                "--max-order", "0", "--max-degree", "3")
         assert code == 2
         assert "--max-order" in err
+
+    @pytest.mark.parametrize("n_terms", ["0", "-3"])
+    def test_n_terms_below_one_is_usage_error(self, capsys, monkeypatch, n_terms):
+        def no_terms(*args, **kwargs):
+            raise AssertionError("terms were evaluated before the usage check")
+
+        monkeypatch.setattr(seqlim.cli, "family_terms", no_terms)
+        code, _, err = run_cli(capsys, "guess", "--terms-from", "delannoy",
+                               "--n-terms", n_terms, "--max-order", "2", "--max-degree", "3")
+        assert code == 2
+        assert "--n-terms must be >= 1" in err
 
     def test_insufficient_terms(self, capsys, tmp_path):
         path = tmp_path / "terms.txt"
@@ -276,6 +297,17 @@ class TestCf:
                              "--from-rec", "delannoy")
         assert code == 2
 
+    @pytest.mark.parametrize("mode", [("--cf", "log"), ("--from-rec", "delannoy")])
+    def test_negative_n_is_usage_error(self, capsys, monkeypatch, mode):
+        def no_work(*args, **kwargs):
+            raise AssertionError("convergents were computed before the usage check")
+
+        monkeypatch.setattr(seqlim.cli, "convergents", no_work)
+        monkeypatch.setattr(seqlim.cli, "from_recurrence", no_work)
+        code, out, err = run_cli(capsys, "cf", *mode, "--n", "-2")
+        assert code == 2 and out == ""
+        assert "--n must be >= 0" in err
+
 
 class TestConjecture:
     def test_small_zeta2_sweep(self, capsys):
@@ -338,17 +370,12 @@ class TestJson:
 
 class TestInstalledEntryPoint:
     def test_console_script(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "seqlim.cli", "family", "--family",
-             "delannoy", "--n", "3"],
-            capture_output=True, text=True)
+        proc = run_python("-m", "seqlim.cli", "family", "--family", "delannoy", "--n", "3")
         assert proc.returncode == 0
         assert "1 3 13 63" in proc.stdout
 
     def test_usage_error_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "seqlim.cli", "family", "--n", "3"],
-            capture_output=True, text=True)
+        proc = run_python("-m", "seqlim.cli", "family", "--n", "3")
         assert proc.returncode == 2
 
 
@@ -369,8 +396,7 @@ print("loaded", *loaded)
 
 
 def test_only_the_guesser_loads_numpy():
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE],
-                          capture_output=True, text=True)
+    proc = run_python("-c", _NUMPY_PROBE)
     assert proc.returncode == 0, proc.stderr
     # after import and the catalog check, after a limit, after a guess
     assert proc.stdout.splitlines()[-1] == "loaded False False True"

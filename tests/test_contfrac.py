@@ -40,6 +40,13 @@ class TestConvergents:
         with pytest.raises(ZeroDenominatorConvergent):
             convergents(cf, 2)
 
+    @pytest.mark.parametrize("upto", [-1, -2])
+    def test_negative_index_is_rejected(self, upto):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            convergents(log_cf(F(1)), upto)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            convergent(log_cf(F(1)), upto)
+
     def test_finite_lists(self):
         cf = ContinuedFraction(b0=F(0), a=(1, 1), b=(1, 1))
         assert convergents(cf, 2) == [0, 1, F(1, 2)]

@@ -77,6 +77,78 @@ class TestEvalFamily:
             eval_family(FamilySpec("delannoy"), -1)
 
 
+# Each family's summand from math.comb, for k = 0..n: the reference for the
+# term-ratio stepping in eval_family.
+COMB_SUMMANDS = {
+    "delannoy": lambda n, k, d: comb(n, k) * comb(n + k, k),
+    "delannoy_x": lambda n, k, d: comb(n, k) * comb(n + k, k),
+    "apery3": lambda n, k, d: comb(n, k) ** 2 * comb(n + k, k) ** 2,
+    "franel": lambda n, k, d: comb(n, k) ** d,
+    "even_binomial_x": lambda n, k, d: comb(n, 2 * k),
+    "fibonacci_x": lambda n, k, d: comb(n - k, k),
+    "trinomial_x": lambda n, k, d: comb(n, k) * comb(n - k, k),
+    "delannoy_sq_x": lambda n, k, d: comb(n, k) * comb(n + k, k) ** 2,
+    "delannoy_cube_x": lambda n, k, d: comb(n, k) * comb(n + k, k) ** 3,
+    "binom_sq_3k": lambda n, k, d: comb(n, k) ** 2 * comb(3 * k, n),
+}
+
+X_VALUES = tuple(F(x) for x in ("1/2", "2/3", "3/4", "3/5", "4/5", "4/7", "5/6", "5/7",
+                                "5/8", "7/9", "-3/2", "0", "5"))
+
+
+def comb_row(name, n, d=None):
+    return [COMB_SUMMANDS[name](n, k, d) for k in range(n + 1)]
+
+
+def check_x_family(name, upto):
+    rows = [comb_row(name, n) for n in range(upto + 1)]
+    for x in X_VALUES:
+        spec, num, den = FamilySpec(name, x=x), x.numerator, x.denominator
+        for n, row in enumerate(rows):
+            # sum_k row[k] x^k = sum_k row[k] num^k den^(n-k) / den^n, by Horner
+            acc, den_power = 0, 1
+            for c in reversed(row):
+                acc = acc * num + c * den_power
+                den_power *= den
+            got = eval_family(spec, n)
+            assert type(got) is Fraction and got == F(acc, den ** n), (name, x, n)
+
+
+class TestStepsMatchCombSums:
+    def test_every_family_has_a_reference(self):
+        assert set(COMB_SUMMANDS) == set(FAMILIES)
+
+    def test_franel(self):
+        for n in range(301):
+            row = comb_row("franel", n, 1)
+            powers = row
+            for d in range(1, 13):
+                got = eval_family(FamilySpec("franel", d=d), n)
+                assert type(got) is Fraction and got == sum(powers), (d, n)
+                powers = [p * c for p, c in zip(powers, row)]
+
+    @pytest.mark.parametrize("name", ["delannoy_sq_x", "delannoy_cube_x"])
+    def test_delannoy_powers_at_x(self, name):
+        check_x_family(name, 300)
+
+    @pytest.mark.parametrize("name", ["delannoy_x", "even_binomial_x", "fibonacci_x",
+                                      "trinomial_x"])
+    def test_other_x_families(self, name):
+        check_x_family(name, 120)
+
+    @pytest.mark.parametrize("name", ["delannoy", "apery3", "binom_sq_3k"])
+    def test_plain_families(self, name):
+        for n in range(121):
+            got = eval_family(FamilySpec(name), n)
+            assert type(got) is Fraction and got == sum(comb_row(name, n)), n
+
+    @pytest.mark.parametrize("name", [n for n, fam in FAMILIES.items() if fam.takes_x])
+    def test_symbolic_x(self, name):
+        spec = FamilySpec(name, symbolic_x=True)
+        for n in range(41):
+            assert eval_family(spec, n) == Poly(comb_row(name, n)), n
+
+
 class TestAperySecondary:
     def test_base_cases(self):
         assert eval_apery_secondary(0) == 0
