@@ -380,13 +380,13 @@ def cmd_cf(args) -> Report:
     report = Report("cf")
     if bool(args.cf) == bool(args.from_rec):
         raise UsageError("give exactly one of --cf or --from-rec")
-    if args.n < 0:
+    if args.n is not None and args.n < 0:
         raise UsageError("--n must be >= 0")
     if args.cf:
         cf = _parse_cf_spec(args.cf)
-        report.inputs = {"cf": args.cf, "n": str(args.n)}
-        vals = convergents(cf, args.n)
-        report.results["convergents"] = [str(v) for v in vals]
+        n = args.n or 0
+        report.inputs = {"cf": args.cf, "n": str(n)}
+        report.results["convergents"] = [str(v) for v in convergents(cf, n)]
     else:
         rec = _recurrence(args.from_rec, _rec_family(args.from_rec))
         rescaling = ratfunc_from_text(args.rescale) if args.rescale else None
@@ -394,7 +394,7 @@ def cmd_cf(args) -> Report:
         report.inputs = {"from_rec": args.from_rec,
                          "rescale": args.rescale or "auto"}
         report.results["cf"] = cf_to_text(cf)
-        if args.n:
+        if args.n is not None:
             report.results["convergents"] = [str(v) for v in convergents(cf, args.n)]
     return report
 
@@ -451,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cf", help="continued fractions and conversions")
     p.add_argument("--cf")
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--n", type=int)
     p.add_argument("--from-rec")
     p.add_argument("--rescale")
     p.add_argument("--json", action="store_true")

@@ -1,29 +1,27 @@
 """Constant evaluation, lattice reduction, and symbolic recognition.
 
-The constant catalog evaluates each entry from elementary, precision-scalable
-series: logarithms from atanh series, pi from a Machin-type combination of
-the same series with alternating signs (both step their terms by integer
-ratios), zeta values from Euler-Maclaurin-corrected partial sums, and the
-quadratic Dirichlet L-values from paired Hurwitz-style sums with the same
-Euler-Maclaurin tail.  Every evaluator is validated once per process against
-a pinned 50-digit reference string.
-
-Recognition runs LLL (Lovasz parameter 3/4, exact integer arithmetic) on the
-standard lattice with one scaled real column and verifies every candidate
-relation at higher precision before reporting it.
+Each series constant is summed exactly by binary splitting (Haible-Papanikolaou
+1998) and rounded once: logarithms from atanh series, pi by Machin's formula,
+zeta(3) by Amdeberhan-Zeilberger, Catalan's constant by a Hessami Pilehrood
+series, L3 from pi, zeta(3) and sum 1/(n^3 C(2n,n)), zeta(2k) as pi^(2k) times
+a pinned rational.  Each evaluator is checked once per process against a
+pinned 50-digit string.  Recognition runs exact-integer LLL (delta 3/4) on the
+standard lattice with one scaled real column, at doubling precision levels up
+to the full one, and verifies each candidate relation at higher precision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Sequence
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import from_int, mpf_div, round_nearest
 
-from seqlim.arith import GUARD_DIGITS, BigFloat, to_mpf
+from seqlim.arith import GUARD_DIGITS, BigFloat
 
 
 class RecognitionError(Exception):
@@ -44,82 +42,61 @@ class DependentRows(RecognitionError):
 
 
 # ----------------------------------------------------------------------
-# Series kernels (mpf arithmetic at explicit working precision)
+# Series kernel (exact integers, binary splitting)
 # ----------------------------------------------------------------------
 
 
+def _series(term, start: int, stop: int) -> tuple[int, int]:
+    """sum over start <= k < stop of a_k/b_k * prod over start <= j <= k of
+    p_j/q_j, where term(k) = (a_k, b_k, p_k, q_k), as an exact (numerator,
+    denominator) pair.
+
+    A series gaining r digits a term takes dps / r + 10 terms for dps digits;
+    the ten spare terms absorb the polynomial factors of the term sizes.
+    """
+    def split(lo, hi):  # (P, Q, B, T) with T = B * Q * the sum over lo..hi-1
+        if hi - lo == 1:
+            a, b, p, q = term(lo)
+            return p, q, b, a * p
+        mid = (lo + hi) // 2
+        p1, q1, b1, t1 = split(lo, mid)
+        p2, q2, b2, t2 = split(mid, hi)
+        return p1 * p2, q1 * q2, b1 * b2, b2 * q2 * t1 + b1 * p1 * t2
+
+    _, q, b, t = split(start, stop)
+    return t, b * q
+
+
+def _ratio(num: int, den: int) -> mpf:
+    """num/den rounded once at the ambient precision."""
+    return mpmath.mp.make_mpf(mpf_div(from_int(num), from_int(den),
+                                      mpmath.mp.prec, round_nearest))
+
+
 def _atanh_small(t: Fraction, dps: int, alternate: bool = False) -> mpf:
-    """atanh(t), or atan(t) when ``alternate``, for |t| < 1 by direct series.
-
-    Meant for small |t| = p/q: each term is the previous one times the
-    integers p**2 and q**2, with no full-precision multiplication.
-    """
-    p2, q2 = t.numerator ** 2, t.denominator ** 2
+    """atanh(t), or atan(t) when ``alternate``, for |t| < 1, to 10**-dps."""
+    p, q = t.numerator, t.denominator
     with mpmath.workdps(dps):
-        term = to_mpf(t)
-        total = mpf(0)
-        k = 0
-        floor = mpf(10) ** (-dps)
-        while abs(term) > floor:
-            total += -term / (2 * k + 1) if alternate and k % 2 else term / (2 * k + 1)
-            term = term * p2 / q2
-            k += 1
-        return total
-
-
-@cache
-def bernoulli(m: int) -> Fraction:
-    """Exact Bernoulli number B_m (B_1 = -1/2), cached."""
-    return Fraction(*mpmath.bernfrac(m))
-
-
-def _hurwitz_em(s: int, a: Fraction, dps: int) -> mpf:
-    """sum over n >= 0 of (n+a)^-s by Euler-Maclaurin, exact tail coefficients.
-
-    Direct sum to N, then integral + half-term + Bernoulli corrections at
-    N + a; N is chosen so the asymptotic tail bottoms out below tolerance.
-    """
-    with mpmath.workdps(dps):
-        cut = int(0.45 * dps) + 15
-        af = to_mpf(a)
-        total = mpf(0)
-        for n in range(cut):
-            total += (n + af) ** (-s)
-        x = cut + af
-        total += x ** (1 - s) / (s - 1)
-        total += x ** (-s) / 2
-        floor = mpf(10) ** (-dps)
-        rising = mpf(s)
-        power = x ** (-s - 1)
-        k = 1
-        while True:
-            b = bernoulli(2 * k)
-            term = to_mpf(b) / mpmath.factorial(2 * k) * rising * power
-            total += term
-            if abs(term) < floor:
-                break
-            # asymptotic series: must not be allowed to turn around
-            rising *= (s + 2 * k - 1) * (s + 2 * k)
-            power /= x * x
-            k += 1
-            if k > 4 * dps:
-                raise RuntimeError("Euler-Maclaurin tail failed to reach tolerance")
-        return total
+        if p == 0:
+            return mpf(0)
+        # the tail after N terms is below |t|**(2N+1) / (1 - t**2)
+        n = math.ceil((dps + math.log10(q * q / (q * q - p * p)))
+                      / (2 * math.log10(q / abs(p)))) + 1
+        p2 = -p * p if alternate else p * p
+        return _ratio(*_series(lambda k: (1, 2 * k + 1, p2 if k else p, q * q if k else q),
+                               0, n))
 
 
 def log_rational(value: Fraction, digits: int) -> BigFloat:
-    """ln(p/q) for a positive rational, via 2 atanh((p-q)/(p+q))."""
-    value = Fraction(value)
-    if value <= 0:
+    """ln(p/q) for p/q > 0, as e ln2 + 2 atanh((r-1)/(r+1)), r = p/(q 2^e) in (1/2, 2)."""
+    p, q = Fraction(value).as_integer_ratio()
+    if p <= 0:
         raise ValueError("logarithm argument must be positive")
+    e = p.bit_length() - q.bit_length()
+    p, q = (p, q << e) if e >= 0 else (p << -e, q)
     dps = digits + GUARD_DIGITS + 5
-    t = Fraction(value.numerator - value.denominator, value.numerator + value.denominator)
     with mpmath.workdps(dps):
-        return BigFloat(2 * _atanh_small(t, dps), digits)
-
-
-def _eval_one(dps):
-    return mpf(1)
+        return BigFloat(2 * _atanh_small(Fraction(p - q, p + q), dps) + e * _eval_ln2(dps), digits)
 
 
 def _eval_ln2(dps):
@@ -133,33 +110,57 @@ def _eval_pi(dps):
                 - 4 * _atanh_small(Fraction(1, 239), dps, alternate=True))
 
 
-def _eval_zeta(s):
-    return lambda dps: _hurwitz_em(s, Fraction(1), dps)
+def _eval_zeta3(dps):
+    # Amdeberhan-Zeilberger (1997): zeta(3) = 1/64 sum_{k>=0} (-1)^k (k!)^10
+    # (205k^2 + 250k + 77) / ((2k+1)!)^5; the term ratio tends to -1/1024
+    num, den = _series(lambda k: (205 * k * k + 250 * k + 77, 1, -k ** 5 if k else 1,
+                                  32 * (2 * k + 1) ** 5 if k else 1), 0, int(dps / 3) + 10)
+    with mpmath.workdps(dps):
+        return _ratio(num, 64 * den)
 
 
 def _eval_catalan(dps):
-    # sum (-1)^n/(2n+1)^2, paired mod 4: (zeta(2,1/4) - zeta(2,3/4)) / 16
+    # Hessami Pilehrood: G = 1/64 sum_{k>=1} 256^k (580k^2 - 184k + 15) /
+    # (k^3 (2k-1) C(6k,3k) C(6k,4k) C(4k,2k)); with the factor k^3 (2k-1) moved
+    # into the next term ratio, the term ratio tends to 1/182.25
+    num, den = _series(lambda k: (580 * k * k - 184 * k + 15, 1,
+                                  32 * (k - 1) ** 3 * (2 * k - 3) if k > 1 else 1,
+                                  9 * (6 * k - 1) ** 2 * (6 * k - 5) ** 2),
+                       1, int(dps / 2.26) + 11)
     with mpmath.workdps(dps):
-        return (_hurwitz_em(2, Fraction(1, 4), dps)
-                - _hurwitz_em(2, Fraction(3, 4), dps)) / 16
+        return _ratio(num, 2 * den)
 
 
 def _eval_l3(dps):
-    # Legendre-symbol series mod 3: (zeta(2,1/3) - zeta(2,2/3)) / 9
-    with mpmath.workdps(dps):
-        return (_hurwitz_em(2, Fraction(1, 3), dps)
-                - _hurwitz_em(2, Fraction(2, 3), dps)) / 9
+    # L3 = 2/(pi sqrt 3) * (S + 4/3 zeta(3)) with S = sum_{k>=1} 1/(k^3 C(2k,k));
+    # with one factor k of 1/k^3 moved into the next term ratio, the term ratio
+    # tends to 1/4
+    num, den = _series(lambda k: (1, k * k, k - 1 if k > 1 else 1, 2 * (2 * k - 1)),
+                       1, int(dps / 0.6) + 11)
+    work = dps + 5
+    with mpmath.workdps(work):
+        s = _ratio(num, den) + 4 * _eval_zeta3(work) / 3
+        return 2 * s / (_eval_pi(work) * mpmath.sqrt(3))
+
+
+#: zeta(2k) / pi^(2k) = |B_2k| 2^(2k-1) / (2k)!
+_ZETA_EVEN = {2: Fraction(1, 6), 4: Fraction(1, 90), 6: Fraction(1, 945), 8: Fraction(1, 9450)}
+
+
+def _eval_zeta_even(s, dps):
+    with mpmath.workdps(dps + 5):
+        return _eval_pi(dps + 5) ** s * _ZETA_EVEN[s].numerator / _ZETA_EVEN[s].denominator
 
 
 _EVALUATORS = {
-    "one": _eval_one,
+    "one": lambda dps: mpf(1),
     "ln2": _eval_ln2,
     "pi": _eval_pi,
-    "zeta2": _eval_zeta(2),
-    "zeta3": _eval_zeta(3),
-    "zeta4": _eval_zeta(4),
-    "zeta6": _eval_zeta(6),
-    "zeta8": _eval_zeta(8),
+    "zeta2": lambda dps: _eval_zeta_even(2, dps),
+    "zeta3": _eval_zeta3,
+    "zeta4": lambda dps: _eval_zeta_even(4, dps),
+    "zeta6": lambda dps: _eval_zeta_even(6, dps),
+    "zeta8": lambda dps: _eval_zeta_even(8, dps),
     "catalan": _eval_catalan,
     "L3": _eval_l3,
 }
@@ -306,36 +307,35 @@ def integer_relation(values: Sequence[BigFloat], max_coeff: int,
     """Nonzero integer vector v with |sum(v_i x_i)| below tolerance, or None.
 
     Reduces the standard lattice whose rows are unit vectors augmented with
-    the values scaled by 10**(precision-10); candidate rows are accepted
-    only if the actual residual beats the tolerance and no coefficient
-    exceeds ``max_coeff``.  The tolerance scales with the coefficient size:
-    inputs correct to P digits can only push a relation with coefficients
-    of size C down to about C * 10**-P, never below.
+    the values scaled by 10**(level-10), at level = 12m + 20 digits for m
+    values and then doubling up to ``precision`` until a reduced row passes.
+    A row passes only if its residual against the full-precision values
+    beats the tolerance and no coefficient exceeds ``max_coeff``.  The
+    tolerance scales with the coefficient size: inputs correct to P digits
+    can only push a relation with coefficients of size C down to about
+    C * 10**-P, never below.
     """
     m = len(values)
     if m < 2:
         raise ValueError("need at least two values")
     if precision < 10 * m:
         raise PrecisionTooLow(f"precision {precision} < {10 * m} for {m} values")
-    scale = 10 ** (precision - GUARD_DIGITS)
     fracs = [v.to_fraction() for v in values]
-    rows = [[int(i == j) for j in range(m)] + [round(fracs[i] * scale)]
-            for i in range(m)]
-    reduced = lll_reduce(rows)
     tol = Fraction(10) ** (GUARD_DIGITS - precision)
-    best = None
-    for row in reduced:
-        v = row[:m]
-        if all(c == 0 for c in v):
-            continue
-        size = max(abs(c) for c in v)
-        if size > max_coeff:
-            continue
-        residual = abs(sum(c * f for c, f in zip(v, fracs)))
-        if residual < tol * max(1, size):
-            if best is None or size < best[0]:
-                best = (size, v)
-    return best[1] if best else None
+    level = min(precision, 12 * m + 20)
+    while True:
+        scale = 10 ** (level - GUARD_DIGITS)
+        rows = [[int(i == j) for j in range(m)] + [round(fracs[i] * scale)]
+                for i in range(m)]
+        passing = []
+        for row in lll_reduce(rows):
+            v = row[:m]
+            size = max(abs(c) for c in v)
+            if 0 < size <= max_coeff and abs(sum(c * f for c, f in zip(v, fracs))) < tol * size:
+                passing.append((size, v))
+        if passing or level == precision:  # the first row of least size
+            return min(passing, key=lambda sv: sv[0])[1] if passing else None
+        level = min(2 * level, precision)
 
 
 @dataclass(frozen=True)

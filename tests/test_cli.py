@@ -308,6 +308,23 @@ class TestCf:
         assert code == 2 and out == ""
         assert "--n must be >= 0" in err
 
+    @pytest.mark.parametrize("mode", [("--cf", "log:x=1"), ("--from-rec", "delannoy")])
+    def test_explicit_n_zero_prints_the_first_convergent(self, capsys, mode):
+        code, out, _ = run_cli(capsys, "cf", *mode, "--n", "0", "--json")
+        assert code == 0
+        first = json.loads(out)["results"]["convergents"]
+        code, out, _ = run_cli(capsys, "cf", *mode, "--n", "2", "--json")
+        assert code == 0
+        assert first == json.loads(out)["results"]["convergents"][:1]
+
+    def test_omitted_n_keeps_each_default(self, capsys):
+        code, out, _ = run_cli(capsys, "cf", "--cf", "log:x=1", "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["inputs"]["n"] == "0"
+        assert len(doc["results"]["convergents"]) == 1
+        code, out, _ = run_cli(capsys, "cf", "--from-rec", "delannoy", "--json")
+        assert code == 0 and "convergents" not in json.loads(out)["results"]
+
 
 class TestConjecture:
     def test_small_zeta2_sweep(self, capsys):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import mpmath
 import pytest
@@ -14,7 +14,6 @@ from seqlim.recognize import (
     DependentRows,
     PrecisionTooLow,
     UnknownConstant,
-    bernoulli,
     eval_constant,
     integer_relation,
     lll_reduce,
@@ -63,18 +62,14 @@ class TestConstants:
         pi = eval_constant("pi", 60)
         assert abs((z2 - pi * pi * F(1, 6)).val) < mpf(10) ** -55
 
-    def test_bernoulli_values(self):
-        assert [bernoulli(k) for k in range(7)] == [
-            1, F(-1, 2), F(1, 6), 0, F(-1, 30), 0, F(1, 42)]
-
-    def test_bernoulli_matches_exact_recurrence(self):
+    def test_even_zeta_rationals_are_bernoulli_numbers(self):
         # B_k = -1/(k+1) * sum_{j<k} C(k+1, j) B_j, with B_1 = -1/2
-        want = [F(1)]
-        for k in range(1, 301):
-            want.append(-sum(comb(k + 1, j) * want[j] for j in range(k)) / (k + 1))
-        assert want[1] == F(-1, 2)
-        assert all(want[m] == 0 for m in range(3, 301, 2))
-        assert [bernoulli(m) for m in range(301)] == want
+        b = [F(1)]
+        for k in range(1, 9):
+            b.append(-sum(comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))
+        assert b[1] == F(-1, 2)
+        want = {s: abs(b[s]) * 2 ** (s - 1) / factorial(s) for s in (2, 4, 6, 8)}
+        assert seqlim.recognize._ZETA_EVEN == want
 
     @pytest.mark.parametrize("name,reference", [
         ("zeta3", lambda: mpmath.zeta(3)),
@@ -91,6 +86,12 @@ class TestConstants:
             want = mpmath.ln(mpf(3) / 2)
             got = log_rational(F(3, 2), 50)
             assert abs(got.val - want) < mpf(10) ** -48
+
+    @pytest.mark.parametrize("value", [F(10**6), F(3, 10**9), F(2**40 + 1, 3), F(1)])
+    def test_log_rational_far_from_one(self, value):
+        with mpmath.workdps(80):
+            want = mpmath.log(mpf(value.numerator) / value.denominator)
+            assert abs(log_rational(value, 60).val - want) < mpf(10) ** -58 * max(1, abs(want))
 
 
 def _full_ratio_series(t, dps, alternate):
@@ -289,3 +290,132 @@ class TestRecognizeConstant:
         form = recognize_constant(value, ["zeta3", "catalan", "one"])
         assert dict(form.terms) == {"zeta3": F(1, 7), "catalan": F(-2), "one": F(3)}
         assert calls == {"zeta3": 1, "catalan": 1, "one": 1}
+
+
+# Independent mpmath routes to every catalog constant.
+MPMATH_ROUTES = {
+    "one": lambda: mpf(1),
+    "ln2": lambda: mpmath.log(2),
+    "pi": lambda: +mpmath.pi,
+    "zeta2": lambda: mpmath.zeta(2),
+    "zeta3": lambda: mpmath.zeta(3),
+    "zeta4": lambda: mpmath.zeta(4),
+    "zeta6": lambda: mpmath.zeta(6),
+    "zeta8": lambda: mpmath.zeta(8),
+    "catalan": lambda: +mpmath.catalan,
+    "L3": lambda: (mpmath.zeta(2, mpf(1) / 3) - mpmath.zeta(2, mpf(2) / 3)) / 9,
+}
+
+
+class TestSeriesConstants:
+    def test_routes_cover_the_catalog(self):
+        assert set(MPMATH_ROUTES) == set(CATALOG_NAMES)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_against_mpmath_to_2000_digits(self, name):
+        got = eval_constant(name, 2000)
+        with mpmath.workdps(2020):
+            assert abs(got.val - MPMATH_ROUTES[name]()) < mpf(10) ** -2000
+
+    def test_no_bernoulli_numbers_or_mpmath_zeta(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("catalog evaluation called into mpmath zeta machinery")
+
+        eval_constant("one", 10)  # run the catalog self-check first
+        monkeypatch.setattr(mpmath, "bernfrac", forbidden)
+        monkeypatch.setattr(mpmath, "zeta", forbidden)
+        monkeypatch.setattr(seqlim.recognize, "_CACHE", {})
+        for name in CATALOG_NAMES:
+            eval_constant(name, 2000)
+
+
+def _single_level_relation(values, max_coeff, precision):
+    """The relation search as one LLL at the full precision (the reference)."""
+    m = len(values)
+    scale = 10 ** (precision - GUARD_DIGITS)
+    fracs = [v.to_fraction() for v in values]
+    rows = [[int(i == j) for j in range(m)] + [round(fracs[i] * scale)]
+            for i in range(m)]
+    tol = F(10) ** (GUARD_DIGITS - precision)
+    best = None
+    for row in lll_reduce(rows):
+        v = row[:m]
+        if all(c == 0 for c in v):
+            continue
+        size = max(abs(c) for c in v)
+        if size > max_coeff:
+            continue
+        residual = abs(sum(c * f for c, f in zip(v, fracs)))
+        if residual < tol * max(1, size):
+            if best is None or size < best[0]:
+                best = (size, v)
+    return best[1] if best else None
+
+
+def _normalised(rel):
+    sign = 1 if next(c for c in rel if c) > 0 else -1
+    return [sign * c for c in rel]
+
+
+WIDE = ["one", "ln2", "pi", "zeta2", "zeta3", "catalan", "L3"]
+
+
+def _wide_values(terms, digits=501):
+    """A combination of catalog constants and the wide basis, at 2/3 of ``digits``."""
+    p = 2 * digits // 3
+    value = sum((eval_constant(n, digits) * q for n, q in terms.items()),
+                BigFloat(0, digits))
+    return [BigFloat(value.val, p)] + [BigFloat(eval_constant(n, digits).val, p)
+                                       for n in WIDE], p
+
+
+def _counting_lll(monkeypatch):
+    calls = []
+    reduce = seqlim.recognize.lll_reduce
+
+    def counted(rows):
+        calls.append(len(rows))
+        return reduce(rows)
+
+    monkeypatch.setattr(seqlim.recognize, "lll_reduce", counted)
+    return calls
+
+
+class TestMultiLevelRelation:
+    @pytest.mark.parametrize("terms", [
+        {"ln2": F(1, 2)},
+        {"zeta3": F(1, 6)},
+        {"pi": F(1)},
+        {"zeta3": F(1, 7), "catalan": F(-2), "one": F(3)},
+        {"zeta2": F(4, 3), "L3": F(-5, 2)},
+    ])
+    def test_same_relation_as_pslq(self, terms):
+        vals, p = _wide_values(terms)
+        rel = integer_relation(vals, 10**12, p)
+        with mpmath.workdps(p):
+            want = mpmath.pslq([v.val for v in vals], maxcoeff=10**12, maxsteps=10**6)
+        assert _normalised(rel) == _normalised(want)
+
+    @pytest.mark.parametrize("terms", [{"ln2": F(1, 2)}, {"zeta3": F(1, 6)}, {"pi": F(1)}])
+    def test_same_relation_as_single_level_search(self, terms):
+        vals, p = _wide_values(terms)
+        assert integer_relation(vals, 10**12, p) == _single_level_relation(vals, 10**12, p)
+
+    def test_large_coefficients_need_a_second_level(self, monkeypatch):
+        rng = random.Random(11)
+        coeffs = {n: F(rng.randint(-10**15, 10**15), 10**15 + 37) for n in WIDE}
+        vals, p = _wide_values(coeffs)
+        calls = _counting_lll(monkeypatch)
+        rel = integer_relation(vals, 10**20, p)
+        assert len(calls) >= 2
+        assert _normalised(rel) == _normalised(
+            [10**15 + 37] + [-q.numerator for q in coeffs.values()])
+        assert rel == _single_level_relation(vals, 10**20, p)
+
+    def test_none_without_relation_after_every_level(self, monkeypatch):
+        vals = [BigFloat(eval_constant(n, 200).val, 200)
+                for n in ("ln2", "pi", "zeta3", "catalan")]
+        calls = _counting_lll(monkeypatch)
+        assert integer_relation(vals, 10**12, 200) is None
+        assert len(calls) == 3  # 68, 136 and 200 digits
+        assert _single_level_relation(vals, 10**12, 200) is None
