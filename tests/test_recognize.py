@@ -62,12 +62,19 @@ class TestConstants:
         pi = eval_constant("pi", 60)
         assert abs((z2 - pi * pi * F(1, 6)).val) < mpf(10) ** -55
 
-    def test_even_zeta_rationals_are_bernoulli_numbers(self):
+    def test_bernoulli_values(self):
+        # zeta(2k) / pi^(2k) = |B_2k| 2^(2k-1) / (2k)!
+        b = {2: F(1, 6), 4: F(-1, 30), 6: F(1, 42), 8: F(-1, 30)}
+        want = {s: abs(b[s]) * 2 ** (s - 1) / factorial(s) for s in b}
+        assert seqlim.recognize._ZETA_EVEN == want
+
+    def test_bernoulli_matches_exact_recurrence(self):
         # B_k = -1/(k+1) * sum_{j<k} C(k+1, j) B_j, with B_1 = -1/2
         b = [F(1)]
         for k in range(1, 9):
             b.append(-sum(comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))
         assert b[1] == F(-1, 2)
+        assert all(b[m] == 0 for m in range(3, 9, 2))
         want = {s: abs(b[s]) * 2 ** (s - 1) / factorial(s) for s in (2, 4, 6, 8)}
         assert seqlim.recognize._ZETA_EVEN == want
 
