@@ -35,7 +35,7 @@ from seqlim.limits import (
     quotients,
     series_limit,
     solve_vanishing_init,
-    telescoped_limit,
+    telescoped_partial_sums,
 )
 from seqlim.recognize import (
     CATALOG_NAMES,
@@ -59,7 +59,13 @@ from seqlim.recurrence import (
     rescale,
     secondary_from_primary,
 )
-from seqlim.sums import FamilySpec, eval_apery_secondary, eval_family, family_pair
+from seqlim.sums import (
+    FamilySpec,
+    delannoy_x_symbolic_pair,
+    eval_apery_secondary,
+    eval_family,
+    family_pair,
+)
 
 __all__ = [
     "OO", "BigFloat", "Poly", "RatFunc", "Series", "rational_from_decimal",
@@ -68,14 +74,15 @@ __all__ = [
     "ConvergenceReport", "SeriesLimit", "apery_limit",
     "difference_identity_check", "difference_ratio_limit", "franel_secondary",
     "linear_form_decay", "quotients", "series_limit", "solve_vanishing_init",
-    "telescoped_limit",
+    "telescoped_partial_sums",
     "CATALOG_NAMES", "SymbolicForm", "eval_constant", "integer_relation",
     "lll_reduce", "recognize_constant",
     "CharRoots", "InitialConditions", "Recurrence", "SolutionTable",
     "casoratian", "casoratian_check", "characteristic_polynomial",
     "characteristic_roots", "guess_recurrence", "poincare_classify",
     "rescale", "secondary_from_primary",
-    "FamilySpec", "eval_apery_secondary", "eval_family", "family_pair",
+    "FamilySpec", "delannoy_x_symbolic_pair", "eval_apery_secondary", "eval_family",
+    "family_pair",
 ]
 
 __version__ = "0.1.0"

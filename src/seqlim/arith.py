@@ -385,11 +385,6 @@ class Poly:
         return f"Poly({poly_to_text(self)!r})"
 
 
-def poly_eval(p: Poly, n: RationalLike) -> Fraction:
-    """Exact value p(n)."""
-    return p(Fraction(n))
-
-
 _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?:(?P<coef>\d+)\s*\*?\s*)?"
     r"(?:(?P<var>[a-zA-Z]\w*)\s*(?:\^\s*(?P<exp>\d+))?)?"

@@ -273,8 +273,10 @@ def cmd_limit(args) -> Report:
     if names and args.digits < 10 * (len(names) + 1):
         raise UsageError(f"--digits must be >= {10 * (len(names) + 1)} to recognize "
                          f"over {len(names)} basis constants")
+    scale = Fraction(1) if args.scale is None else _fraction(args.scale)
+    if scale == 0:
+        raise UsageError("--scale must be nonzero")
     primary, secondary = _solution_pair(args)
-    scale = _fraction(args.scale) if args.scale else Fraction(1)
     report.inputs = {"rec": args.rec, "digits": str(args.digits), "scale": str(scale)}
     started = time.perf_counter()
     try:

@@ -1,8 +1,9 @@
 """Quotient limits of recurrence solutions and their diagnostics.
 
 Everything that looks at B(n)/A(n): exact quotient sequences, the
-telescoping difference identity, geometrically-certified high-precision
-limit extraction, difference-ratio limits, decay of linear forms, limits of
+telescoping identity Q(n) - Q(n-1) = w(n-1)/(A(n-1) A(n)) on the Casoratian
+partial sums of :mod:`seqlim.recurrence`, geometrically-certified limit
+extraction, difference-ratio limits, decay of linear forms, limits of
 series coefficients in a parameter, and the vanishing-initial-condition
 constructions for secondary and tertiary solutions of the power-sum
 families.
@@ -40,7 +41,9 @@ from seqlim.recurrence import (
     InitialConditions,
     Recurrence,
     SolutionTable,
-    casoratian_series,
+    ZeroDenominatorTerm,
+    casoratian,
+    casoratian_sums,
 )
 from seqlim.recognize import eval_constant, integer_relation, recognize_constant
 from seqlim.sums import FamilySpec, guessed_family_recurrence
@@ -48,12 +51,6 @@ from seqlim.sums import FamilySpec, guessed_family_recurrence
 
 class LimitError(Exception):
     pass
-
-
-class ZeroDenominatorTerm(LimitError):
-    def __init__(self, n):
-        self.n = n
-        super().__init__(f"primary solution vanishes at n = {n}")
 
 
 class NotConverging(LimitError):
@@ -107,38 +104,15 @@ def difference_identity_check(primary: SolutionTable, secondary: SolutionTable,
     if rec.order != 2:
         raise ValueError("difference identity requires an order-2 recurrence")
     q = quotients(primary, secondary, upto)
-    w = casoratian_series(rec, [primary, secondary], upto)
-    for n in range(1, upto + 1):
-        if q[n] - q[n - 1] != w[n - 1] / (primary.term(n - 1) * primary.term(n)):
-            return False
-    return True
+    w0 = casoratian(rec, [primary, secondary], 0)
+    return all(qn - q[0] == s for qn, s in zip(q, casoratian_sums(rec, primary, w0, upto)))
 
 
 def telescoped_partial_sums(rec: Recurrence, primary: SolutionTable,
                             upto: int) -> list[Fraction]:
-    """Exact partial sums of w(n-1)/(A(n-1) A(n)); equals Q(n) when B(0) = 0."""
-    if rec.order != 2:
-        raise ValueError("telescoped sums require an order-2 recurrence")
-    primary.evaluate(upto)
-    p0 = rec.p(0)
-    w = primary.term(0)  # w(0) for the (B(0), B(1)) = (0, 1) normalization
-    out = [Fraction(0)]
-    acc = Fraction(0)
-    for n in range(1, upto + 1):
-        a_prev, a = primary.term(n - 1), primary.term(n)
-        if a_prev == 0 or a == 0:
-            raise ZeroDenominatorTerm(n if a == 0 else n - 1)
-        acc += w / (a_prev * a)
-        out.append(acc)
-        w *= p0(n - 1)
-    return out
-
-
-def telescoped_limit(rec: Recurrence, primary: SolutionTable, upto: int,
-                     precision: int) -> BigFloat:
-    """The partial telescoped sum at ``upto`` as a BigFloat."""
-    s = telescoped_partial_sums(rec, primary, upto)[-1]
-    return BigFloat.from_rational(s, precision)
+    """Exact partial sums of w(n-1)/(A(n-1) A(n)) from w(0) = A(0), the
+    Casoratian for (B(0), B(1)) = (0, 1); they equal Q(n) when B(0) = 0."""
+    return casoratian_sums(rec, primary, primary.term(0), upto)
 
 
 # ----------------------------------------------------------------------

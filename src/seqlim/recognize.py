@@ -87,18 +87,6 @@ def _atanh_small(t: Fraction, dps: int, alternate: bool = False) -> mpf:
                                0, n))
 
 
-def log_rational(value: Fraction, digits: int) -> BigFloat:
-    """ln(p/q) for p/q > 0, as e ln2 + 2 atanh((r-1)/(r+1)), r = p/(q 2^e) in (1/2, 2)."""
-    p, q = Fraction(value).as_integer_ratio()
-    if p <= 0:
-        raise ValueError("logarithm argument must be positive")
-    e = p.bit_length() - q.bit_length()
-    p, q = (p, q << e) if e >= 0 else (p << -e, q)
-    dps = digits + GUARD_DIGITS + 5
-    with mpmath.workdps(dps):
-        return BigFloat(2 * _atanh_small(Fraction(p - q, p + q), dps) + e * _eval_ln2(dps), digits)
-
-
 def _eval_ln2(dps):
     with mpmath.workdps(dps):
         return 2 * _atanh_small(Fraction(1, 3), dps)

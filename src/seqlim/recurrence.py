@@ -7,13 +7,13 @@ A recurrence is stored in the unnormalized integer form
 with the relation asserted for every n >= offset.  The c_k are kept as
 :class:`Poly` for symbolic work and, stored at construction, as rows of
 Python ints that :meth:`Recurrence.coeffs_at` evaluates by integer Horner;
-every stepping loop reads its coefficients from that one kernel.  The monic
-normalization p_k(n) = c_k(n)/c_d(n) is available as a derived view.
-Solutions are exact rational sequences cached in a :class:`SolutionTable`.
+every stepping loop and the Casoratian step w(n+1) = (-1)^d c_0(n)/c_d(n)
+w(n) read their coefficients from that one kernel.  Solutions are exact
+rational sequences cached in a :class:`SolutionTable`.
 
-The module also provides Casoratian (discrete Wronskian) computations,
-characteristic polynomials and their complex roots, growth classification
-of solutions by characteristic root, rescaling of recurrences by
+The module also provides Casoratian series and order-2 partial sums,
+characteristic polynomials and their roots (``mpmath.polyroots``), growth
+classification of solutions by characteristic root, rescaling by
 factorial-type factors, and recurrence guessing from initial terms.  The
 guesser orders its unknowns degree-major, so one int64 elimination per
 order and prime gives the nullity at every degree; the elimination reduces
@@ -57,12 +57,6 @@ class SingularLeadingCoefficient(RecurrenceError):
     def __init__(self, n: int):
         self.n = n
         super().__init__(f"leading coefficient vanishes at n = {n}")
-
-
-class ZeroPrimaryTerm(RecurrenceError):
-    def __init__(self, n: int):
-        self.n = n
-        super().__init__(f"primary solution vanishes at n = {n}")
 
 
 class DivergentCoefficient(RecurrenceError):
@@ -150,10 +144,6 @@ class Recurrence:
             out.append(acc)
         return out
 
-    def p(self, k: int) -> RatFunc:
-        """Monic-normalized coefficient p_k(n) = c_k(n) / c_d(n)."""
-        return RatFunc(self.coeffs[k], self.coeffs[-1])
-
     def relation_value(self, terms, n: int):
         """sum(c_k(n) * terms[n+k]); zero iff the relation holds at n."""
         return sum(c * terms[n + k] for k, c in enumerate(self.coeffs_at(n)))
@@ -163,8 +153,8 @@ class Recurrence:
         if self.order != other.order:
             return False
         lead_a, lead_b = self.coeffs[-1], other.coeffs[-1]
-        return all(self.coeffs[k] * lead_b == other.coeffs[k] * lead_a
-                   for k in range(self.order))
+        return self.coeffs == other.coeffs or all(
+            self.coeffs[k] * lead_b == other.coeffs[k] * lead_a for k in range(self.order))
 
     def __eq__(self, other):
         if not isinstance(other, Recurrence):
@@ -328,13 +318,17 @@ def casoratian(rec: Recurrence, sols: Sequence[SolutionTable], n: int) -> Fracti
     return row_reduce([[s.term(n + i) for s in sols] for i in range(d)], d)[2]
 
 
+def casoratian_step(rec: Recurrence, n: int) -> Fraction:
+    """w(n+1)/w(n) = (-1)^d c_0(n)/c_d(n), read from the integer coefficient row."""
+    cs = rec.coeffs_at(n)
+    return Fraction(-cs[0] if rec.order % 2 else cs[0], cs[-1])
+
+
 def casoratian_series(rec: Recurrence, sols: Sequence[SolutionTable], upto: int) -> list[Fraction]:
-    """w(0..upto) from the product rule w(n+1) = (-1)^d p_0(n) w(n) and the actual w(0)."""
-    p0 = rec.p(0)
+    """w(0..upto) from the actual w(0) and the product rule of :func:`casoratian_step`."""
     out = [casoratian(rec, sols, 0)]
-    sign = 1 if rec.order % 2 == 0 else -1
     for n in range(upto):
-        out.append(sign * p0(n) * out[-1])
+        out.append(out[-1] * casoratian_step(rec, n))
     return out
 
 
@@ -344,27 +338,40 @@ def casoratian_check(rec: Recurrence, sols: Sequence[SolutionTable], upto: int) 
                for n, w in enumerate(casoratian_series(rec, sols, upto)))
 
 
+class ZeroDenominatorTerm(RecurrenceError):
+    def __init__(self, n: int):
+        self.n = n
+        super().__init__(f"primary solution vanishes at n = {n}")
+
+
+def casoratian_sums(rec: Recurrence, primary: SolutionTable, w0,
+                    upto: int) -> list[Fraction]:
+    """S(0..upto) with S(n) = sum(w(k) / (A(k) A(k+1)), k < n), for order 2.
+
+    w is the Casoratian of A and a second solution B, stepped from w(0) =
+    ``w0``, so S(n) = B(n)/A(n) - B(0)/A(0).  Raises ZeroDenominatorTerm at
+    the first index n <= upto where A(n) = 0.
+    """
+    if rec.order != 2:
+        raise ValueError("Casoratian partial sums require an order-2 recurrence")
+    a = [primary.term(n) for n in range(upto + 1)]  # a[n] = A(n)
+    if 0 in a:
+        raise ZeroDenominatorTerm(a.index(0))
+    w, out = Fraction(w0), [Fraction(0)]
+    for n in range(upto):
+        out.append(out[-1] + w / (a[n] * a[n + 1]))
+        w *= casoratian_step(rec, n)
+    return out
+
+
 def secondary_from_primary(rec: Recurrence, primary: SolutionTable, upto: int) -> SolutionTable:
     """Second solution u2(n) = u1(n) * sum(w(k) / (u1(k) u1(k+1)), k < n).
 
-    Here w(k) is the product p_0(0)...p_0(k-1), i.e. the Casoratian
-    normalized to w(0) = 1; this gives u2(0) = 0 and u2(1) = 1/u1(0).
-    Only order-2 recurrences are supported.
+    Here w is the Casoratian normalized to w(0) = 1; this gives u2(0) = 0
+    and u2(1) = 1/u1(0).  Only order-2 recurrences are supported.
     """
-    if rec.order != 2:
-        raise ValueError("secondary construction requires an order-2 recurrence")
-    p0 = rec.p(0)
-    u1 = primary.terms(upto + 1)
-    base = primary.start_index
-    vals = []
-    acc = Fraction(0)
-    w = Fraction(1)
-    for n in range(0, upto + 1):
-        vals.append(u1[n - base] * acc)
-        if u1[n - base] == 0:
-            raise ZeroPrimaryTerm(n)
-        acc += w / (u1[n - base] * u1[n + 1 - base])
-        w *= p0(n)
+    vals = [primary.term(n) * s
+            for n, s in enumerate(casoratian_sums(rec, primary, 1, upto))]
     out = SolutionTable(rec, InitialConditions(0, vals[:2]))
     for n in range(2, upto + 1):
         out.with_term(n, vals[n])
@@ -415,55 +422,22 @@ class CharRoots:
         return f"CharRoots([{body}] @ {self.precision} digits)"
 
 
-#: Iteration cap for the simultaneous root iteration, per unit of degree.
-_ROOT_ITER_CAP = 200
-
-
 def characteristic_roots(p: Poly, precision: int) -> CharRoots:
-    """All complex roots by simultaneous Weierstrass (all-roots) iteration.
+    """All complex roots by ``mpmath.polyroots`` on the monic polynomial.
 
-    Starting points sit on a slightly perturbed circle of the Cauchy radius;
-    the iteration refines every root at once and the result is rejected
-    unless every residual |p(root)| is below 10**-(precision-10).
+    The roots are refined at 15 digits beyond ``precision`` and the result
+    is rejected unless every residual |p(root)| is below 10**-(precision-10).
     """
     if p.degree < 1:
         raise ValueError("root finding needs a nonconstant polynomial")
-    d = p.degree
-    monic = [c / p.leading for c in p.coeffs]
-    work = precision + 15
-    with mpmath.workdps(work):
-        coeffs = [to_mpf(c) for c in monic]
-        radius = 1 + max(abs(c) for c in coeffs[:-1])
-        roots = []
-        for j in range(d):
-            angle = 2 * mpmath.pi * (j + mpf("0.3737")) / d
-            roots.append(radius * (1 + mpf(j + 1) / (100 * d)) * mpmath.exp(1j * angle))
-
-        def peval(z):
-            acc = mpc(1)
-            for c in reversed(coeffs[:-1]):
-                acc = acc * z + c
-            return acc
-
-        step_tol = mpf(10) ** (-(precision + 5))
-        for _ in range(_ROOT_ITER_CAP * d):
-            moved = mpf(0)
-            for j in range(d):
-                denom = mpc(1)
-                for i in range(d):
-                    if i != j:
-                        denom *= roots[j] - roots[i]
-                delta = peval(roots[j]) / denom
-                roots[j] -= delta
-                moved = max(moved, abs(delta) / max(mpf(1), abs(roots[j])))
-            if moved < step_tol:
-                break
-        else:
-            residuals = [abs(peval(z)) for z in roots]
-            raise NoConvergence("root iteration did not settle", residuals)
-        residuals = [abs(peval(z)) for z in roots]
-        bad = max(residuals)
-        if bad >= mpf(10) ** (10 - precision):
+    with mpmath.workdps(precision + 15):
+        coeffs = [to_mpf(c / p.leading) for c in reversed(p.coeffs)]
+        try:
+            roots = [mpc(z) for z in mpmath.polyroots(coeffs, maxsteps=200 * p.degree)]
+        except mpmath.mp.NoConvergence as exc:
+            raise NoConvergence(f"root iteration did not settle: {exc}")
+        residuals = [abs(mpmath.polyval(coeffs, z)) for z in roots]
+        if max(residuals) >= mpf(10) ** (10 - precision):
             raise NoConvergence("root residuals too large", residuals)
     return CharRoots(p, roots, precision)
 
@@ -666,22 +640,27 @@ def _window_matrix_mod(ints, order: int, rows: int, cols: int, p: int) -> np.nda
 
 
 def _reconstruct_candidate(ints, order, rows, f, probes, max_primes=48):
-    """Coefficient polynomials from the free-column-f nullspace vector, or None.
+    """The verified recurrence from the free-column-f nullspace vector, or None.
 
-    The vector is lifted by CRT across primes (at most ``max_primes``) until
-    rational reconstruction succeeds.  The probe eliminations supply the
-    first residues; every further prime eliminates only columns 0..f, and a
-    prime whose pivots up to f differ from the first probe's is skipped.
+    The vector is lifted by CRT across primes (at most ``max_primes``) and
+    rationally reconstructed after each; the recurrence each reconstruction
+    gives is built once and checked exactly against every term.  One that
+    fails the check is lifted further, and the column is dropped only when
+    the next reconstruction repeats the failed vector.  The probe
+    eliminations supply the first residues; every further prime eliminates
+    only columns 0..f, and a prime whose pivots up to f differ from the
+    first probe's is skipped.
     """
     ref = probes[0][1][:bisect_left(probes[0][1], f)]
     further = ((p, *_echelon_mod(_window_matrix_mod(ints, order, rows, f + 1, p), p))
                for p in _GUESS_PRIMES[len(probes):])
-    residue = modulus = None
+    residue = modulus = failed = None
     used = 0
     for p, pivots, ech in chain(probes, further):
         if pivots[:bisect_right(pivots, f)] != ref:
             continue
         vec = _null_vector_mod(ech, pivots, f, p)
+        del ech  # not held through the exact check or the next elimination
         if residue is None:
             residue, modulus = vec, p
         else:
@@ -693,8 +672,14 @@ def _reconstruct_candidate(ints, order, rows, f, probes, max_primes=48):
             recon = list(takewhile(lambda q: q is not None, (
                 _rational_reconstruct(x, modulus) for x in residue)))
             if len(recon) == len(residue):
+                if recon == failed:
+                    return None
                 polys = [Poly(recon[k::order + 1]) for k in range(order + 1)]
-                return None if polys[-1].is_zero else polys
+                if not polys[-1].is_zero:
+                    rec = Recurrence(polys, offset=0)
+                    if all(rec.relation_value(ints, n) == 0 for n in range(len(ints) - order)):
+                        return rec
+                failed = recon
         if used >= max_primes:
             break
     return None
@@ -711,9 +696,10 @@ def guess_recurrence(terms: Sequence, max_order: int, max_degree: int) -> Recurr
     nullity counts, since a true integer relation survives mod every prime.
     That many free columns are tried in increasing order, which is
     increasing degree: each one's nullspace vector is lifted by CRT and
-    rational reconstruction, and the recurrence is verified exactly against
-    all terms, so a bad reconstruction can only cause a miss, never a wrong
-    answer.  Returns None when nothing within the bounds survives.
+    rational reconstruction until its recurrence passes the exact check
+    against all terms (see :func:`_reconstruct_candidate`), so an answer is
+    always verified, and a spurious reconstruction only costs more primes.
+    Returns None when nothing within the bounds survives.
     """
     terms = [Fraction(t) for t in terms]
     total = len(terms)
@@ -739,11 +725,8 @@ def guess_recurrence(terms: Sequence, max_order: int, max_degree: int) -> Recurr
         pivot_set = set(probes[0][1])
         free = [c for c in range(width) if c not in pivot_set]
         for f in free[:dim]:
-            cand = _reconstruct_candidate(ints, order, rows, f, probes)
-            if cand is None:
-                continue
-            rec = Recurrence(cand, offset=0)
-            if all(rec.relation_value(ints, n) == 0 for n in range(total - order)):
+            rec = _reconstruct_candidate(ints, order, rows, f, probes)
+            if rec is not None:
                 return rec
     return None
 

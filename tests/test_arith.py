@@ -15,7 +15,6 @@ from seqlim.arith import (
     RatFunc,
     Series,
     nullspace,
-    poly_eval,
     poly_from_text,
     poly_to_text,
     rational_from_decimal,
@@ -31,14 +30,14 @@ F = Fraction
 class TestPoly:
     def test_eval_quadratic(self):
         p = Poly([6, 33, 55])
-        assert poly_eval(p, 0) == 6
+        assert p(F(0)) == 6
 
     def test_eval_zero_poly(self):
-        assert poly_eval(Poly(), 7) == 0
+        assert Poly()(F(7)) == 0
 
     def test_eval_recurrence_coefficient(self):
         p = Poly([5, 17, 17])
-        assert poly_eval(p, 1) == 39
+        assert p(F(1)) == 39
 
     def test_trailing_zeros_stripped(self):
         assert Poly([1, 2, 0, 0]).degree == 1

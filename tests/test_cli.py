@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,28 @@ class TestGuess:
         assert code == 2
         assert "--n-terms must be >= 1" in err
 
+    @pytest.mark.parametrize("terms, bounds, want", [
+        # a large order-1 ratio, and an order-2 relation with large coefficients:
+        # the first reconstruction of each is a wrong fraction that fails the check
+        ([7 * (-341203730) ** n for n in range(40)], ("1", "0"),
+         ["c_0: 341203730", "c_1: 1"]),
+        ("order2", ("4", "6"), ["c_0: -312951575", "c_1: -67426978", "c_2: 1"]),
+        ("order2", ("2", "0"), ["c_0: -312951575", "c_1: -67426978", "c_2: 1"]),
+    ], ids=["order1", "order2-wide-bounds", "order2-tight-bounds"])
+    def test_spurious_reconstruction_is_lifted_further(self, capsys, tmp_path,
+                                                         terms, bounds, want):
+        if terms == "order2":
+            terms = [Fraction(3, 4), Fraction(10)]
+            while len(terms) < 60:
+                terms.append(67426978 * terms[-1] + 312951575 * terms[-2])
+        path = tmp_path / "terms.txt"
+        path.write_text(" ".join(str(t) for t in terms))
+        code, out, _ = run_cli(capsys, "guess", "--terms-file", str(path), "--max-order",
+                               bounds[0], "--max-degree", bounds[1], "--json")
+        assert code == 0
+        assert json.loads(out)["results"]["recurrence"] == \
+            "\n".join(["order: " + str(len(want) - 1), "offset: 0", *want]) + "\n"
+
     def test_insufficient_terms(self, capsys, tmp_path):
         path = tmp_path / "terms.txt"
         path.write_text("1 2 4")
@@ -190,6 +213,20 @@ class TestLimit:
                                "--recognize", "ln2,ln2")
         assert code == 2
         assert "repeated constant" in err
+
+    @pytest.mark.parametrize("scale, message", [("0", "--scale must be nonzero"),
+                                                ("1/0", "not a rational number"),
+                                                ("", "not a rational number")])
+    def test_bad_scale_is_usage_error_before_any_work(self, capsys, monkeypatch,
+                                                      scale, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the solutions were built before the usage check")
+
+        monkeypatch.setattr(seqlim.cli, "_solution_pair", no_work)
+        code, out, err = run_cli(capsys, "limit", "--rec", "delannoy", "--digits", "30",
+                                 "--scale", scale, "--recognize", "ln2")
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_basis_digit_threshold_is_accepted(self, capsys):
         code, out, err = run_cli(capsys, "limit", "--rec", "delannoy", "--digits", "80",
@@ -273,6 +310,22 @@ class TestCf:
         code, out, _ = run_cli(capsys, "cf", "--cf", "log:x=1", "--n", "3")
         assert code == 0
         assert "131/378" in out
+
+    @pytest.mark.parametrize("x", ["0", "-1/2", "-1"])
+    def test_log_without_a_limit_is_usage_error(self, capsys, monkeypatch, x):
+        def no_work(*args, **kwargs):
+            raise AssertionError("convergents were computed before the usage check")
+
+        monkeypatch.setattr(seqlim.cli, "convergents", no_work)
+        code, out, err = run_cli(capsys, "cf", "--cf", f"log:x={x}", "--n", "4")
+        assert code == 2 and out == ""
+        assert "x > 0 or x < -1" in err
+
+    def test_log_below_minus_one_converges(self, capsys):
+        # (1/2) log(1 + 1/x) at x = -2 is -ln2/2, the negated delannoy limit
+        code, out, _ = run_cli(capsys, "cf", "--cf", "log:x=-2", "--n", "3")
+        assert code == 0
+        assert "-131/378" in out
 
     def test_arctan_convergent(self, capsys):
         code, out, _ = run_cli(capsys, "cf", "--cf", "arctan:z=1", "--n", "2")

@@ -84,3 +84,34 @@ def test_traced_function_resolves_after_cli_import(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def unreferenced_definitions(sources: dict[str, str], exported) -> list[str]:
+    """Top-level functions and classes that no code in ``sources`` reads
+    outside their own definition, and that ``exported`` does not list."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in exported:
+                continue
+            own = set(map(id, ast.walk(node)))
+            if not any(isinstance(n, (ast.Name, ast.Attribute)) and id(n) not in own
+                       and node.name in (getattr(n, "id", None), getattr(n, "attr", None))
+                       for t in trees.values() for n in ast.walk(t)):
+                out.append(f"{module}:{node.name}")
+    return sorted(out)
+
+
+def test_dead_definition_scanner():
+    sources = {"a.py": "def used():\n    return 1\n\ndef dead():\n    return dead()\n\n"
+                       "def exported():\n    pass\n\nclass Kept:\n    pass\n",
+               "b.py": "from a import used\nx = used() + Kept.__name__.count('')\n"}
+    assert unreferenced_definitions(sources, {"exported"}) == ["a.py:dead"]
+
+
+def test_every_definition_is_reached_or_exported():
+    import seqlim
+
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unreferenced_definitions(sources, set(seqlim.__all__)) == []

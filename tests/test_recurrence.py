@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 from seqlim.arith import BigFloat, Poly, RatFunc
-from seqlim.limits import _float_quotient_limits
+from seqlim.limits import _float_quotient_limits, telescoped_partial_sums
 from seqlim.recurrence import (
     DivergentCoefficient,
     EqualModuli,
@@ -19,12 +19,14 @@ from seqlim.recurrence import (
     Recurrence,
     SingularLeadingCoefficient,
     SolutionTable,
+    ZeroDenominatorTerm,
     ZeroTail,
     _GUESS_PRIMES,
     _echelon_mod,
     _null_vector_mod,
     casoratian,
     casoratian_check,
+    casoratian_series,
     characteristic_polynomial,
     characteristic_roots,
     guess_recurrence,
@@ -41,8 +43,10 @@ from seqlim.sums import (
     delannoy_recurrence,
     delannoy_x_recurrence,
     family_pair,
+    family_recurrence,
     family_terms,
     guessed_family_recurrence,
+    primary_init,
 )
 
 F = Fraction
@@ -338,6 +342,65 @@ class TestSecondaryFromPrimary:
         assert [u2.term(n) for n in range(6)] == [0, 1, 0, 1, 0, 1]
 
 
+def _ratfunc_p0(rec):
+    """p_0 = c_0/c_d as a reduced RatFunc, the form the kernel replaced."""
+    return RatFunc(rec.coeffs[0], rec.coeffs[-1])
+
+
+def _ratfunc_casoratian_series(rec, sols, upto):
+    p0, sign = _ratfunc_p0(rec), (-1) ** rec.order
+    out = [casoratian(rec, sols, 0)]
+    for n in range(upto):
+        out.append(sign * p0(n) * out[-1])
+    return out
+
+
+def _ratfunc_partial_sums(rec, primary, w, upto):
+    p0, acc, out = _ratfunc_p0(rec), F(0), [F(0)]
+    for n in range(1, upto + 1):
+        acc += w / (primary.term(n - 1) * primary.term(n))
+        out.append(acc)
+        w *= p0(n - 1)
+    return out
+
+
+_KERNEL_SPECS = [FamilySpec("delannoy"), FamilySpec("delannoy_x", x=F(5, 3)),
+                 FamilySpec("apery3"), FamilySpec("trinomial_x", x=F(1, 2))] + \
+    [FamilySpec("franel", d=d) for d in range(3, 9)]
+
+
+class TestCasoratianKernel:
+    """The integer-row Casoratian steps give the RatFunc products' values."""
+
+    @pytest.mark.parametrize("spec", _KERNEL_SPECS, ids=lambda s: s.name + (
+        f"-d{s.d}" if s.d else "") + (f"-x{s.x}" if s.x else ""))
+    def test_matches_ratfunc_products(self, spec):
+        rec = family_recurrence(spec)
+        primary = SolutionTable(rec, primary_init(spec, rec))
+        start = primary.start_index
+        sols = [primary] + [SolutionTable(rec, InitialConditions(
+            start, [F(i == j, j + 2) for i in range(rec.order)])) for j in range(1, rec.order)]
+        assert casoratian_series(rec, sols, 300) == _ratfunc_casoratian_series(rec, sols, 300)
+        if rec.order != 2:
+            return
+        assert telescoped_partial_sums(rec, primary, 300) == \
+            _ratfunc_partial_sums(rec, primary, primary.term(0), 300)
+        sums = _ratfunc_partial_sums(rec, primary, F(1), 300)
+        u2 = secondary_from_primary(rec, primary, 300)
+        assert [u2.term(n) for n in range(301)] == \
+            [primary.term(n) * s for n, s in enumerate(sums)]
+
+    def test_zero_primary_term_is_reported_by_index(self):
+        # u(n+2) = u(n+1) - u(n) from u(-1) = u(0) = 1 vanishes first at n = 1,
+        # the third entry of primary.terms()
+        rec = Recurrence([Poly([1]), Poly([-1]), Poly([1])], offset=-1)
+        primary = SolutionTable(rec, InitialConditions(-1, [1, 1]))
+        for build in (telescoped_partial_sums, secondary_from_primary):
+            with pytest.raises(ZeroDenominatorTerm) as err:
+                build(rec, primary, 10)
+            assert err.value.n == 1
+
+
 class TestCharacteristic:
     def test_delannoy(self):
         assert characteristic_polynomial(delannoy_recurrence()) == Poly([1, -6, 1])
@@ -376,10 +439,9 @@ class TestCharacteristic:
             assert abs(prod_c0 - 1) < mpf(10) ** -30
             assert abs(sum_c1 - 34) < mpf(10) ** -30
 
-    def test_cubic_roots_recompose(self):
-        from seqlim.sums import guessed_family_recurrence
-
-        rec = guessed_family_recurrence(FamilySpec("franel", d=5))
+    @pytest.mark.parametrize("d", range(3, 11))
+    def test_cubic_roots_recompose(self, d):
+        rec = guessed_family_recurrence(FamilySpec("franel", d=d))
         p = characteristic_polynomial(rec)
         roots = characteristic_roots(p, 40)
         with mpmath.workdps(55):
@@ -464,6 +526,26 @@ class TestGuessRecurrence:
         verify = [rec.relation_value(dict(enumerate(terms)), n) == 0
                   for n in range(len(terms) - rec.order)]
         assert all(verify)
+
+    def test_generated_recurrences_come_back_minimal(self):
+        # seeded recurrences of order 1..3 and degree 0..3 with 3-, 8- and 30-bit
+        # coefficients; a leading coefficient with positive coefficients has no
+        # root at n >= 0.  Large coefficients make the first reconstructions
+        # wrong fractions, which must be lifted further instead of dropped.
+        rng = random.Random(0)
+        for _ in range(120):
+            order, degree = rng.randint(1, 3), rng.randint(0, 3)
+            top = 2 ** rng.choice((3, 8, 30))
+            coeffs = [Poly([rng.randint(-top, top) for _ in range(degree + 1)])
+                      for _ in range(order)]
+            rec = Recurrence(coeffs + [Poly([rng.randint(1, top) for _ in range(degree + 1)])])
+            init = [F(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(order)]
+            # as many terms as `guess --max-order 3 --max-degree 4` generates
+            terms = SolutionTable(rec, InitialConditions(0, init)).terms((3 + 1) * (4 + 1) + 3 + 14)
+            got = guess_recurrence(terms, 3, 4)
+            assert got is not None
+            assert (got.order, max(c.degree for c in got.coeffs)) <= \
+                (rec.order, max(c.degree for c in rec.coeffs))
 
     def test_rational_terms(self):
         # guessing is invariant under a global rational rescaling of the terms
