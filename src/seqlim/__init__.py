@@ -16,7 +16,7 @@ Typical use:
 '1/2*ln2'
 """
 
-from seqlim.arith import OO, BigFloat, Poly, RatFunc, Series, rational_from_decimal
+from seqlim.arith import OO, BigFloat, Poly, RatFunc, rational_from_decimal
 from seqlim.contfrac import (
     ContinuedFraction,
     convergent,
@@ -68,7 +68,7 @@ from seqlim.sums import (
 )
 
 __all__ = [
-    "OO", "BigFloat", "Poly", "RatFunc", "Series", "rational_from_decimal",
+    "OO", "BigFloat", "Poly", "RatFunc", "rational_from_decimal",
     "ContinuedFraction", "convergent", "convergents", "from_recurrence",
     "to_recurrence",
     "ConvergenceReport", "SeriesLimit", "apery_limit",

@@ -6,9 +6,8 @@ denominator).  On top of those this module provides
 - :class:`BigFloat` -- an arbitrary-precision real that carries its working
   precision (decimal digits) with every value,
 - :class:`Poly` -- dense univariate polynomials with rational coefficients,
-- :class:`RatFunc` -- reduced rational functions,
-- :class:`Series` -- truncated power/Laurent expansions around a finite
-  point or around infinity.
+- :class:`RatFunc` -- reduced rational functions, with truncated
+  expansions around a finite point or around infinity.
 
 Everything here is immutable and side-effect free.
 """
@@ -57,7 +56,7 @@ class Infinity:
         return "oo"
 
 
-#: The unique point at infinity, usable as a Series/expansion center.
+#: The unique point at infinity, usable as an expansion center.
 OO = Infinity()
 
 
@@ -589,50 +588,7 @@ def _poly_from_wrapped(text: str, var: str) -> Poly:
 # ----------------------------------------------------------------------
 
 
-class Series:
-    """Truncated expansion around a finite center or around infinity.
-
-    Around a finite point ``a`` the value is sum of ``coeffs[k] * (x-a)**k``;
-    around infinity it is sum of ``coeffs[k] * x**-k``.  Index runs 0..order.
-    """
-
-    __slots__ = ("center", "coeffs", "order")
-
-    def __init__(self, center, coeffs: Iterable[RationalLike], order: int):
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) != order + 1:
-            raise ValueError("series needs exactly order+1 coefficients")
-        object.__setattr__(self, "center", center if isinstance(center, Infinity) else Fraction(center))
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return (self.center == other.center and self.order == other.order
-                and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        at = "oo" if isinstance(self.center, Infinity) else str(self.center)
-        return f"Series(center={at}, coeffs={[str(c) for c in self.coeffs]})"
-
-    def recompose(self) -> Poly:
-        """The polynomial sum of coeffs[k] * (x - a)**k (finite center only)."""
-        if isinstance(self.center, Infinity):
-            raise ValueError("cannot recompose a series at infinity into a polynomial")
-        out = Poly()
-        shift = Poly([-self.center, 1])
-        power = Poly.const(1)
-        for c in self.coeffs:
-            out = out + power * c
-            power = power * shift
-        return out
-
-
-def _series_divide(num: list[Fraction], den: list[Fraction], k: int) -> list[Fraction]:
+def _series_divide(num, den, k: int) -> tuple[Fraction, ...]:
     """First k+1 coefficients of num/den as power series (den[0] != 0)."""
     out = []
     for i in range(k + 1):
@@ -640,11 +596,12 @@ def _series_divide(num: list[Fraction], den: list[Fraction], k: int) -> list[Fra
         for j in range(1, min(i, len(den) - 1) + 1):
             acc -= den[j] * out[i - j]
         out.append(acc / den[0])
-    return out
+    return tuple(out)
 
 
-def ratfunc_series(f: RatFunc, center, k: int) -> Series:
-    """Expand ``f`` to order ``k`` around a finite center or infinity.
+def ratfunc_series(f: RatFunc, center, k: int) -> tuple[Fraction, ...]:
+    """The coefficients 0..k of ``f`` expanded around a finite center a, in
+    powers of (x - a), or around infinity, in powers of 1/x.
 
     Raises PoleAtCenter if the reduced denominator vanishes at a finite
     center, or if ``f`` grows at infinity (numerator degree exceeds
@@ -653,22 +610,15 @@ def ratfunc_series(f: RatFunc, center, k: int) -> Series:
     if k < 0:
         raise ValueError("truncation order must be >= 0")
     if isinstance(center, Infinity):
-        if f.numer.is_zero:
-            return Series(OO, [0] * (k + 1), k)
-        m = f.denom.degree - f.numer.degree
+        m = f.denom.degree - f.numer.degree  # the order of the zero at infinity
         if m < 0:
             raise PoleAtCenter("function grows at infinity")
-        num_rev = list(f.numer.reversed().coeffs)
-        den_rev = list(f.denom.reversed().coeffs)
-        body = _series_divide(num_rev, den_rev, k - m) if m <= k else []
-        coeffs = [Fraction(0)] * min(m, k + 1) + body
-        return Series(OO, coeffs[: k + 1], k)
+        return (Fraction(0),) * min(m, k + 1) + _series_divide(
+            f.numer.reversed().coeffs, f.denom.reversed().coeffs, k - m)
     a = Fraction(center)
     if f.denom(a) == 0:
         raise PoleAtCenter(f"denominator vanishes at x = {a}")
-    num = list(f.numer.taylor_shift(a).coeffs)
-    den = list(f.denom.taylor_shift(a).coeffs)
-    return Series(a, _series_divide(num, den, k), k)
+    return _series_divide(f.numer.taylor_shift(a).coeffs, f.denom.taylor_shift(a).coeffs, k)
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from seqlim import __version__
-from seqlim.arith import poly_to_text
+from seqlim.arith import poly_to_text, ratfunc_from_text
 from seqlim.contfrac import (
     ContinuedFraction,
     arctan_cf,
@@ -54,7 +54,6 @@ from seqlim.sums import (
     guessed_family_recurrence,
     primary_init,
 )
-from seqlim.arith import ratfunc_from_text
 
 
 class UsageError(Exception):
@@ -265,7 +264,7 @@ def cmd_limit(args) -> Report:
     report = Report("limit")
     if args.digits < 10:
         raise UsageError("--digits must be >= 10")
-    names = args.recognize.split(",") if args.recognize else []
+    names = [] if args.recognize is None else args.recognize.split(",")
     if any(n not in CATALOG_NAMES for n in names):
         raise UsageError(f"unknown constant in {args.recognize!r}; known: {', '.join(CATALOG_NAMES)}")
     if len(set(names)) < len(names):
@@ -390,8 +389,13 @@ def cmd_cf(args) -> Report:
         report.inputs = {"cf": args.cf, "n": str(n)}
         report.results["convergents"] = [str(v) for v in convergents(cf, n)]
     else:
+        try:
+            rescaling = None if args.rescale is None else ratfunc_from_text(args.rescale)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad --rescale {args.rescale!r}: {exc}")
+        if rescaling is not None and rescaling.numer.is_zero:
+            raise UsageError("--rescale must be nonzero")
         rec = _recurrence(args.from_rec, _rec_family(args.from_rec))
-        rescaling = ratfunc_from_text(args.rescale) if args.rescale else None
         cf = from_recurrence(rec, rescaling)
         report.inputs = {"from_rec": args.from_rec,
                          "rescale": args.rescale or "auto"}

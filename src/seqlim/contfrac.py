@@ -2,7 +2,7 @@
 
 A continued fraction here is b0 + a1/(b1 + a2/(b2 + ...)) with partial
 numerators a(n) and denominators b(n) given as rational functions of the
-level n >= 1 (or as explicit finite lists).  Convergents C_n = B(n)/A(n)
+level n >= 1.  Convergents C_n = B(n)/A(n)
 are produced by the standard three-term recurrence with A(-1) = 0,
 A(0) = 1, B(-1) = 1, B(0) = b0, and the translation to and from
 second-order recurrences follows that correspondence.
@@ -33,7 +33,7 @@ class NotReducible(ContinuedFractionError):
 
 @dataclass(frozen=True)
 class ContinuedFraction:
-    """Partial numerators/denominators as rational functions or finite lists.
+    """Partial numerators a(n) and denominators b(n) as rational functions.
 
     ``a1`` optionally overrides the first partial numerator: a continued
     fraction built from a rescaled recurrence keeps its own leading
@@ -41,43 +41,23 @@ class ContinuedFraction:
     """
 
     b0: Fraction
-    a: object  # RatFunc or tuple of Fractions (index 0 -> level 1)
-    b: object
+    a: RatFunc
+    b: RatFunc
     a1: Fraction | None = None
 
     def a_at(self, n: int) -> Fraction:
-        if n == 1 and self.a1 is not None:
-            return self.a1
-        if isinstance(self.a, RatFunc):
-            return self.a(n)
-        return Fraction(self.a[n - 1])
-
-    def b_at(self, n: int) -> Fraction:
-        if isinstance(self.b, RatFunc):
-            return self.b(n)
-        return Fraction(self.b[n - 1])
-
-    def levels(self) -> int | None:
-        if isinstance(self.a, RatFunc):
-            return None
-        return len(self.a)
+        return self.a1 if n == 1 and self.a1 is not None else self.a(n)
 
 
 def convergents(cf: ContinuedFraction, upto: int) -> list[Fraction]:
     """C_0, ..., C_upto; raises ZeroDenominatorConvergent on a vanishing A(n)."""
     if upto < 0:
         raise ValueError(f"convergent index must be >= 0, got {upto}")
-    cap = cf.levels()
-    if cap is not None and upto > cap:
-        raise ValueError(f"finite continued fraction has only {cap} levels")
-    a_prev, a_cur = Fraction(1), Fraction(1)  # A(-1), A(0)
+    a_prev, a_cur = Fraction(0), Fraction(1)  # A(-1), A(0)
     b_prev, b_cur = Fraction(1), Fraction(cf.b0)  # B(-1), B(0)
-    a_prev = Fraction(0)
-    if a_cur == 0:
-        raise ZeroDenominatorConvergent(0)
-    out = [b_cur / a_cur]
+    out = [b_cur]
     for n in range(1, upto + 1):
-        an, bn = cf.a_at(n), cf.b_at(n)
+        an, bn = cf.a_at(n), cf.b(n)
         a_prev, a_cur = a_cur, bn * a_cur + an * a_prev
         b_prev, b_cur = b_cur, bn * b_cur + an * b_prev
         if a_cur == 0:
@@ -92,16 +72,19 @@ def convergent(cf: ContinuedFraction, n: int) -> Fraction:
 
 
 def to_recurrence(cf: ContinuedFraction) -> Recurrence:
-    """Order-2 recurrence u(n) = b(n) u(n-1) + a(n) u(n-2) in shifted form."""
-    if not isinstance(cf.a, RatFunc) or not isinstance(cf.b, RatFunc):
-        raise ValueError("recurrence conversion needs rational-function entries")
+    """Order-2 recurrence u(n) = b(n) u(n-1) + a(n) u(n-2) in shifted form.
+
+    The relation holds from level 1 (offset -1), or from level 2 (offset 0)
+    when ``a1`` overrides the formula's a(1).
+    """
     b2 = cf.b.shift(2)
     a2 = cf.a.shift(2)
     g = b2.denom.gcd(a2.denom)
     lead = b2.denom * a2.denom.divmod(g)[0]
     c1 = -b2.numer * lead.divmod(b2.denom)[0]
     c0 = -a2.numer * lead.divmod(a2.denom)[0]
-    return Recurrence([c0, c1, lead], offset=-1)
+    same_a1 = cf.a1 is None or cf.a.numer(1) == cf.a1 * cf.a.denom(1)  # a(1) may be a pole
+    return Recurrence([c0, c1, lead], offset=-1 if same_a1 else 0)
 
 
 _RESCALING_SEARCH = (
@@ -167,8 +150,6 @@ def arctan_cf(z: Fraction) -> ContinuedFraction:
 
 
 def cf_to_text(cf: ContinuedFraction) -> str:
-    if not isinstance(cf.a, RatFunc) or not isinstance(cf.b, RatFunc):
-        raise ValueError("only rational-function continued fractions serialize")
     lines = [f"b0: {cf.b0}"]
     if cf.a1 is not None:
         lines.append(f"a(1): {cf.a1}")

@@ -131,6 +131,9 @@ class ConvergenceReport:
 
 _RATIO_WINDOW = 10
 
+#: Terms after which apery_limit gives up on a certificate.
+_MAX_TERMS = 20000
+
 
 def _decimal_places(num: int, den: int) -> int:
     """floor(-log10(num/den)) for positive integers, exactly.
@@ -150,14 +153,14 @@ def _decimal_places(num: int, den: int) -> int:
 
 
 def apery_limit(primary: SolutionTable, secondary: SolutionTable,
-                target_digits: int, max_terms: int = 20000) -> ConvergenceReport:
+                target_digits: int) -> ConvergenceReport:
     """Estimate lim secondary/primary with a geometric tail certificate.
 
     Extends the exact quotient sequence until the bound
     |dQ(N)| rho/(1-rho) (rho = max |dQ(n)/dQ(n-1)| over the last ten steps,
-    required < 1) certifies ``target_digits`` decimal places.  Every A(n)
-    with 0 <= n <= N is checked to be nonzero, but Q(n) is computed only
-    where the certificate reads it.
+    required < 1) certifies ``target_digits`` decimal places, stepping at
+    most _MAX_TERMS terms.  Every A(n) with 0 <= n <= N is checked to be
+    nonzero, but Q(n) is computed only where the certificate reads it.
     """
     prec = target_digits + 25
     n = max(24, 2 * _RATIO_WINDOW + 4)
@@ -206,10 +209,10 @@ def apery_limit(primary: SolutionTable, secondary: SolutionTable,
                         difference_ratio=BigFloat(rho, prec),
                         certified_digits=certified,
                     )
-        if n >= max_terms:
+        if n >= _MAX_TERMS:
             raise NotConverging(
                 f"no certificate after {n} terms (last ratio window {ratios[-3:]})")
-        n = min(max_terms, max(n + 8, (3 * n) // 2))
+        n = min(_MAX_TERMS, max(n + 8, (3 * n) // 2))
 
 
 def extrapolate_power_tail(values: Sequence[Fraction], indices: Sequence[int],
@@ -293,54 +296,55 @@ class SeriesLimit:
     stable_through: int
 
 
-def _poly_series(num, den, center, order):
-    return ratfunc_series(RatFunc(num, den), center, order)
+#: Largest denominator series_limit recognizes in a stabilized coefficient.
+_SERIES_MAX_DENOMINATOR = 10**6
 
 
-def series_limit(a_polys: Sequence, b_polys: Sequence, center, order: int,
-                 max_denominator: int = 10**6) -> SeriesLimit:
+def series_limit(a_polys: Sequence, b_polys: Sequence, center,
+                 order: int) -> SeriesLimit:
     """Stabilized expansion coefficients of Q_x(n) = B_x(n)/A_x(n) as n grows.
 
-    At a finite center each coefficient sequence is recognized as a small
-    rational (tolerance taken from its own convergence rate) and must agree
-    exactly over the last three n; the k = 0 coefficient is exempt, since
-    it converges to the quotient limit itself, which is typically not
-    rational.  At infinity the expansion of the last n is trusted through
-    order 2n and cross-checked against the previous n.
+    At a finite center each coefficient sequence is recognized as a rational
+    of denominator at most _SERIES_MAX_DENOMINATOR (tolerance taken from its
+    own convergence rate) and must agree exactly over the last three n; the
+    k = 0 coefficient is exempt, since it converges to the quotient limit
+    itself, which is typically not rational.  At infinity the expansion of
+    the last n is trusted through order 2n and cross-checked against the
+    previous n.
     """
     n_max = len(a_polys) - 1
     if len(b_polys) != len(a_polys):
         raise ValueError("need matching A and B polynomial lists")
     if isinstance(center, Infinity):
         stable = min(order, 2 * n_max)
-        cur = _poly_series(b_polys[n_max], a_polys[n_max], OO, stable)
+        cur = ratfunc_series(RatFunc(b_polys[n_max], a_polys[n_max]), OO, stable)
         prev_stable = min(order, 2 * (n_max - 1))
-        prev = _poly_series(b_polys[n_max - 1], a_polys[n_max - 1], OO, prev_stable)
-        if cur.coeffs[: prev_stable + 1] != prev.coeffs[: prev_stable + 1]:
+        prev = ratfunc_series(RatFunc(b_polys[n_max - 1], a_polys[n_max - 1]), OO,
+                              prev_stable)
+        if cur[: prev_stable + 1] != prev[: prev_stable + 1]:
             raise NoStabilization(
                 "expansions at infinity disagree inside the guaranteed range")
-        return SeriesLimit(center=OO,
-                           coefficients=tuple(enumerate(cur.coeffs[: stable + 1])),
+        return SeriesLimit(center=OO, coefficients=tuple(enumerate(cur)),
                            stable_through=stable)
 
     center = Fraction(center)
     rows = {k: [] for k in range(order + 1)}
     for n in range(n_max + 1):
-        s = _poly_series(b_polys[n], a_polys[n], center, order)
+        s = ratfunc_series(RatFunc(b_polys[n], a_polys[n]), center, order)
         for k in range(order + 1):
-            rows[k].append(s.coeffs[k])
+            rows[k].append(s[k])
 
     def recognize(seq, n):
         # tolerance a few orders looser than the observed convergence gap
         gap = abs(seq[n] - seq[n - 1])
         if gap == 0:
-            return seq[n] if seq[n].denominator <= max_denominator else None
+            return seq[n] if seq[n].denominator <= _SERIES_MAX_DENOMINATOR else None
         gap_log = log10(gap.numerator) - log10(gap.denominator)
         prec = int(-gap_log) + GUARD_DIGITS - 3
         if prec < 10:
             return None
         return rational_from_decimal(BigFloat.from_rational(seq[n], prec),
-                                     max_denominator)
+                                     _SERIES_MAX_DENOMINATOR)
 
     stabilized = []
     table = {}
@@ -455,9 +459,13 @@ class VanishingSolve:
     init_values: tuple[Fraction, ...]
 
 
+#: Terms after which _float_quotient_limits gives up on a quotient.
+_FLOAT_MAX_TERMS = 6000
+
+
 def _float_quotient_limits(rec: Recurrence, inits: Sequence[Sequence[Fraction]],
-                           primary_init: Sequence[Fraction], precision: int,
-                           max_terms: int = 6000) -> list[BigFloat]:
+                           primary_init: Sequence[Fraction],
+                           precision: int) -> list[BigFloat]:
     """lim u(n)/a(n) for every initial vector in ``inits``, in one forward pass.
 
     The primary a(n) and every u(n) step together in guarded float
@@ -476,7 +484,7 @@ def _float_quotient_limits(rec: Recurrence, inits: Sequence[Sequence[Fraction]],
         tol = mpf(10) ** (-(precision + 8))
         n = m - 1
         checkpoint = max(2 * m, 12)
-        while n < max_terms:
+        while n < _FLOAT_MAX_TERMS:
             base = n - m + 1
             cs = rec.coeffs_at(base)
             for seq in [a] + [us[j] for j in active]:
@@ -497,7 +505,7 @@ def _float_quotient_limits(rec: Recurrence, inits: Sequence[Sequence[Fraction]],
                 if not active:
                     return out
                 checkpoint = n + 5
-        raise NotConverging(f"quotient still moving after {max_terms} terms")
+        raise NotConverging(f"quotient still moving after {_FLOAT_MAX_TERMS} terms")
 
 
 def solve_vanishing_init(rec: Recurrence, primary_init: Sequence[Fraction],

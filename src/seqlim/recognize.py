@@ -205,29 +205,21 @@ def eval_constant(name: str, digits: int) -> BigFloat:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class LLLResult:
-    basis: list[list[int]]
-    transform: list[list[int]]  # unimodular: basis = transform @ input
-
-
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def lll_reduce(rows: Sequence[Sequence[int]], want_transform: bool = False):
+def lll_reduce(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """LLL-reduced basis of the lattice spanned by the input rows.
 
     Uses the all-integer Gram-Schmidt representation (lambda/d arrays), so
     no rounding ever occurs; delta is fixed at 3/4.  Raises DependentRows
-    if the rows are linearly dependent.  Returns the reduced rows, or an
-    :class:`LLLResult` carrying the unimodular transform when requested.
+    if the rows are linearly dependent.
     """
     b = [list(map(int, r)) for r in rows]
     n = len(b)
     if n == 0:
         raise ValueError("empty basis")
-    h = [[int(i == j) for j in range(n)] for i in range(n)]
 
     lam = [[0] * n for _ in range(n)]
     d = [1] * (n + 1)
@@ -251,14 +243,12 @@ def lll_reduce(rows: Sequence[Sequence[int]], want_transform: bool = False):
         if 2 * abs(lam[k][l]) > d[l + 1]:
             q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
             b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            h[k] = [x - q * y for x, y in zip(h[k], h[l])]
             for j in range(l):
                 lam[k][j] -= q * lam[l][j]
             lam[k][l] -= q * d[l + 1]
 
     def swap(k):
         b[k], b[k - 1] = b[k - 1], b[k]
-        h[k], h[k - 1] = h[k - 1], h[k]
         for j in range(k - 1):
             lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
         lam_ = lam[k][k - 1]
@@ -280,8 +270,6 @@ def lll_reduce(rows: Sequence[Sequence[int]], want_transform: bool = False):
                 red(k, l)
             k += 1
 
-    if want_transform:
-        return LLLResult(basis=b, transform=h)
     return b
 
 

@@ -454,39 +454,30 @@ class GrowthClass:
 def poincare_classify(sol, roots: CharRoots, upto: int) -> GrowthClass:
     """Match the tail ratio u(N+1)/u(N) to the nearest characteristic root.
 
-    ``sol`` is either a SolutionTable (exact terms) or an indexable sequence
-    of numeric values covering indices up to N+1.  Requires roots of
-    pairwise distinct moduli; a tail of zeros is reported as such.
+    ``sol`` is either a SolutionTable (exact terms) or a sequence of values
+    u(0), u(1), ... through index N+1; values that are not BigFloats are
+    rounded at the roots' precision.  Requires roots of pairwise distinct
+    moduli; a tail of zeros is reported as such.
     """
     if roots.equal_moduli:
         raise EqualModuli("characteristic roots do not have distinct moduli")
     prec = roots.precision
     if isinstance(sol, SolutionTable):
-        values = sol.terms(upto + 1)
-        lo = sol.start_index
-        window = values[max(0, upto - 3 - lo): upto + 2 - lo]
-        if all(v == 0 for v in window):
-            raise ZeroTail("solution vanishes over the sampled tail")
-        a, b = values[upto - lo], values[upto + 1 - lo]
-        if a == 0:
-            raise ZeroTail(f"u({upto}) = 0; pick a different N")
-        with mpmath.workdps(prec):
-            ratio = to_mpf(b) / to_mpf(a)
+        values = sol.terms(upto + 1)[max(0, upto - 3 - sol.start_index):]
+    elif upto + 1 >= len(sol):
+        raise ValueError("need values through index N+1")
     else:
-        seq = [v.val if isinstance(v, BigFloat) else mpf(v) for v in sol]
-        if upto + 1 >= len(seq):
-            raise ValueError("need values through index N+1")
-        window = seq[max(0, upto - 3): upto + 2]
-        if all(v == 0 for v in window):
-            raise ZeroTail("values vanish over the sampled tail")
-        if seq[upto] == 0:
-            raise ZeroTail(f"value at {upto} is 0; pick a different N")
-        with mpmath.workdps(prec):
-            ratio = seq[upto + 1] / seq[upto]
+        values = sol[max(0, upto - 3): upto + 2]
+    window = [v if isinstance(v, BigFloat) else BigFloat(v, prec) for v in values]
+    if all(v == 0 for v in window):
+        raise ZeroTail("solution vanishes over the sampled tail")
+    if window[-2] == 0:
+        raise ZeroTail(f"u({upto}) = 0; pick a different N")
     with mpmath.workdps(prec):
+        ratio = window[-1].val / window[-2].val
         dists = [abs(ratio - z) for z in roots.roots]
         k = min(range(len(dists)), key=lambda i: dists[i])
-    return GrowthClass(k, BigFloat(mpf(ratio), prec), BigFloat(dists[k], prec))
+    return GrowthClass(k, BigFloat(ratio, prec), BigFloat(dists[k], prec))
 
 
 # ----------------------------------------------------------------------
@@ -639,10 +630,14 @@ def _window_matrix_mod(ints, order: int, rows: int, cols: int, p: int) -> np.nda
     return out
 
 
-def _reconstruct_candidate(ints, order, rows, f, probes, max_primes=48):
+#: Primes across which _reconstruct_candidate lifts one nullspace vector.
+_MAX_LIFT_PRIMES = 48
+
+
+def _reconstruct_candidate(ints, order, rows, f, probes):
     """The verified recurrence from the free-column-f nullspace vector, or None.
 
-    The vector is lifted by CRT across primes (at most ``max_primes``) and
+    The vector is lifted by CRT across primes (at most _MAX_LIFT_PRIMES) and
     rationally reconstructed after each; the recurrence each reconstruction
     gives is built once and checked exactly against every term.  One that
     fails the check is lifted further, and the column is dropped only when
@@ -680,7 +675,7 @@ def _reconstruct_candidate(ints, order, rows, f, probes, max_primes=48):
                     if all(rec.relation_value(ints, n) == 0 for n in range(len(ints) - order)):
                         return rec
                 failed = recon
-        if used >= max_primes:
+        if used >= _MAX_LIFT_PRIMES:
             break
     return None
 

@@ -267,7 +267,7 @@ def primary_init(spec: FamilySpec, rec: Recurrence) -> InitialConditions:
     return InitialConditions(0, family_terms(spec, rec.order - 1))
 
 
-def family_pair(spec: FamilySpec, max_order: int = 5) -> tuple[SolutionTable, SolutionTable]:
+def family_pair(spec: FamilySpec) -> tuple[SolutionTable, SolutionTable]:
     """Primary solution A (family values) and secondary B (0, 1 start).
 
     Only meaningful for families whose recurrence has order 2; higher-order

@@ -228,6 +228,18 @@ class TestLimit:
         assert code == 2 and out == ""
         assert message in err
 
+    @pytest.mark.parametrize("basis", ["", "ln2,"])
+    def test_empty_basis_name_is_usage_error_before_any_work(self, capsys, monkeypatch,
+                                                            basis):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the solutions were built before the usage check")
+
+        monkeypatch.setattr(seqlim.cli, "_solution_pair", no_work)
+        code, out, err = run_cli(capsys, "limit", "--rec", "delannoy", "--digits", "30",
+                                 "--recognize", basis)
+        assert code == 2 and out == ""
+        assert "unknown constant" in err
+
     def test_basis_digit_threshold_is_accepted(self, capsys):
         code, out, err = run_cli(capsys, "limit", "--rec", "delannoy", "--digits", "80",
                                  "--recognize", "one,ln2,pi,zeta2,zeta3,catalan,L3")
@@ -337,6 +349,25 @@ class TestCf:
                                "--rescale", "n + 1")
         assert code == 0
         assert "b(n): 6*n - 3" in out
+
+    @pytest.mark.parametrize("rescale, message", [
+        ("0", "--rescale must be nonzero"),
+        ("n - n", "--rescale must be nonzero"),
+        ("1/(n-n)", "zero denominator"),
+        ("n +* 1", "cannot parse"),
+        ("", "empty polynomial"),
+    ])
+    def test_bad_rescale_is_usage_error_before_any_work(self, capsys, monkeypatch,
+                                                        rescale, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the recurrence was built before the usage check")
+
+        monkeypatch.setattr(seqlim.cli, "_recurrence", no_work)
+        code, out, err = run_cli(capsys, "cf", "--from-rec", "franel:d=3",
+                                 "--rescale", rescale)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert message in err
 
     def test_from_rec_with_parameter(self, capsys):
         # at x = 2 the partial denominators are 5(2n-1)

@@ -17,7 +17,7 @@ from seqlim.contfrac import (
     to_recurrence,
 )
 from seqlim.limits import quotients
-from seqlim.recurrence import Recurrence, rescale
+from seqlim.recurrence import InitialConditions, Recurrence, SolutionTable, rescale
 from seqlim.sums import FamilySpec, arctan_recurrence, delannoy_recurrence, family_pair
 
 F = Fraction
@@ -32,7 +32,7 @@ class TestConvergents:
         assert convergent(log_cf(F(1)), 3) == F(131, 378)
 
     def test_constant_only(self):
-        cf = ContinuedFraction(b0=F(5), a=(), b=())
+        cf = ContinuedFraction(b0=F(5), a=RatFunc(Poly([1])), b=RatFunc(Poly([1])))
         assert convergent(cf, 0) == 5
 
     def test_zero_denominator_detected(self):
@@ -46,12 +46,6 @@ class TestConvergents:
             convergents(log_cf(F(1)), upto)
         with pytest.raises(ValueError, match="must be >= 0"):
             convergent(log_cf(F(1)), upto)
-
-    def test_finite_lists(self):
-        cf = ContinuedFraction(b0=F(0), a=(1, 1), b=(1, 1))
-        assert convergents(cf, 2) == [0, 1, F(1, 2)]
-        with pytest.raises(ValueError):
-            convergents(cf, 3)
 
 
 class TestToRecurrence:
@@ -71,6 +65,22 @@ class TestToRecurrence:
         rec = to_recurrence(cf)
         assert rec.proportional_to(Recurrence([Poly([-1]), Poly([-1]), Poly([1])]))
 
+    @pytest.mark.parametrize("cf", [
+        log_cf(F(1)), arctan_cf(F(1, 3)), from_recurrence(delannoy_recurrence()),
+        ContinuedFraction(b0=F(2), a=RatFunc(Poly([1])), b=RatFunc(Poly([1]))),
+    ], ids=["log", "arctan", "delannoy", "fibonacci"])
+    def test_solutions_reproduce_convergents(self, cf):
+        # A and B from the fraction's own start, A(-1) = 0, A(0) = 1,
+        # B(-1) = 1, B(0) = b0, stepped to level 1 with its a(1), read from
+        # the index the recurrence starts at
+        rec = to_recurrence(cf)
+        a = [F(0), F(1), cf.b(1)]
+        b = [F(1), cf.b0, cf.b(1) * cf.b0 + cf.a_at(1)]
+        i = rec.offset + 1
+        primary = SolutionTable(rec, InitialConditions(rec.offset, a[i:i + 2]))
+        secondary = SolutionTable(rec, InitialConditions(rec.offset, b[i:i + 2]))
+        assert quotients(primary, secondary, 29) == convergents(cf, 29)
+
 
 class TestFromRecurrence:
     def test_delannoy_with_factorial_rescale(self):
@@ -86,7 +96,7 @@ class TestFromRecurrence:
     def test_already_in_form(self):
         fib = Recurrence([Poly([-1]), Poly([-1]), Poly([1])], offset=-1)
         cf = from_recurrence(fib, RatFunc(Poly([1])))
-        assert cf.b_at(3) == 1 and cf.a_at(3) == 1 and cf.a_at(1) == 1
+        assert cf.b(3) == 1 and cf.a_at(3) == 1 and cf.a_at(1) == 1
 
     def test_roundtrip_up_to_content(self):
         for rec, ratio in ((delannoy_recurrence(), RatFunc(Poly([1, 1]))),

@@ -2,10 +2,13 @@
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 import pytest
+
+from test_cli import run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "seqlim"
@@ -115,3 +118,13 @@ def test_every_definition_is_reached_or_exported():
 
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unreferenced_definitions(sources, set(seqlim.__all__)) == []
+
+
+def test_readme_sketch_and_package_doctest_run():
+    # one child interpreter for both, so a removed or renamed library name
+    # cannot leave the documented examples stale
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sketch = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    proc = run_python("-c", sketch + "\nimport doctest\nresult = doctest.testmod(seqlim)\n"
+                      "assert result.attempted and not result.failed, result\n")
+    assert proc.returncode == 0, proc.stderr

@@ -207,17 +207,6 @@ class TestLLL:
         with pytest.raises(DependentRows):
             lll_reduce([[1, 2], [2, 4]])
 
-    def test_transform_recorded(self):
-        rows = [[7, 3], [5, 2]]
-        res = lll_reduce(rows, want_transform=True)
-        for out_row, t_row in zip(res.basis, res.transform):
-            recomposed = [sum(t * rows[i][c] for i, t in enumerate(t_row))
-                          for c in range(2)]
-            assert recomposed == out_row
-        det = res.transform[0][0] * res.transform[1][1] \
-            - res.transform[0][1] * res.transform[1][0]
-        assert det in (1, -1)
-
 
 class TestIntegerRelation:
     def test_half_log_two(self):

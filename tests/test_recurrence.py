@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
-from seqlim.arith import BigFloat, Poly, RatFunc
+from seqlim.arith import BigFloat, Poly, RatFunc, to_mpf
 from seqlim.limits import _float_quotient_limits, telescoped_partial_sums
 from seqlim.recurrence import (
     DivergentCoefficient,
@@ -476,6 +476,32 @@ class TestPoincareClassify:
         roots = characteristic_roots(Poly([-1, 0, 1]), 20)
         with pytest.raises(EqualModuli):
             poincare_classify(a, roots, 10)
+
+    @pytest.mark.parametrize("kind", ["BigFloat", "mpf", "int"])
+    @pytest.mark.parametrize("start", [-1, 0])
+    def test_values_classify_as_their_table(self, start, kind):
+        # D(-1) = 0, D(0) = 1, D(1) = 3; values are indexed from 0 whatever
+        # index the table starts at, and are rounded at the roots' precision
+        table = SolutionTable(delannoy_recurrence(),
+                              InitialConditions(start, [0, 1, 3][start + 1:start + 3]))
+        roots = characteristic_roots(Poly([1, -6, 1]), 30)
+        terms = [table.term(n) for n in range(102)]
+        convert = {"BigFloat": lambda t: BigFloat(t, 30), "mpf": to_mpf, "int": int}[kind]
+        with mpmath.workdps(30):
+            values = [convert(t) for t in terms]
+        got = poincare_classify(values, roots, 100)
+        assert got == poincare_classify(table, roots, 100)
+        assert got.root_index == 0
+
+    @pytest.mark.parametrize("values, error", [
+        ([0] * 12, ZeroTail),
+        ([1] * 10 + [0, 1], ZeroTail),  # u(N) = 0
+        ([1] * 11, ValueError),         # no u(N+1)
+    ])
+    def test_unusable_values(self, values, error):
+        roots = characteristic_roots(Poly([2, -3, 1]), 20)
+        with pytest.raises(error):
+            poincare_classify(values, roots, 10)
 
 
 class TestGuessRecurrence:
