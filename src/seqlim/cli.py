@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -26,6 +27,7 @@ from seqlim.contfrac import (
     convergents,
     from_recurrence,
     log_cf,
+    log_limit_exists,
 )
 from seqlim.limits import (
     POWER_SUMS,
@@ -176,6 +178,9 @@ def _initial(values: str, start: int) -> InitialConditions:
 
 def _solution_pair(args) -> tuple[SolutionTable, SolutionTable]:
     family = _rec_family(args.rec)
+    if family is not None and family.name == "delannoy_x" and not log_limit_exists(family.x):
+        raise UsageError(f"delannoy_x has no quotient limit at x = {family.x}; "
+                         "it needs x > 0 or x < -1")
     power_sum_b = not args.init_b and family is not None and family.name == "franel"
     if power_sum_b and family.d not in POWER_SUMS:
         raise UsageError(f"franel without --init-b supports d in "
@@ -466,6 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the guesser's numpy work is elementwise int64, so OpenBLAS's thread pool only costs start-up
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

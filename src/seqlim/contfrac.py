@@ -122,14 +122,19 @@ def from_recurrence(rec: Recurrence, rescaling: RatFunc | None = None) -> Contin
 # ----------------------------------------------------------------------
 
 
-def log_cf(x: Fraction) -> ContinuedFraction:
-    """1/((2x+1) -) 1^2/(3(2x+1) -) ... converging to (1/2) log(1 + 1/x).
-
-    No limit exists for -1 <= x <= 0: the roots (2x+1) +- 2 sqrt(x(x+1)) of
-    the characteristic polynomial have equal moduli there.
+def log_limit_exists(x: Fraction) -> bool:
+    """Whether (1/2) log(1 + 1/x) is a quotient limit of the delannoy_x and
+    log_cf recurrences: not for -1 <= x <= 0, where the roots
+    (2x+1) +- 2 sqrt(x(x+1)) of the characteristic polynomial have equal moduli.
     """
+    return not -1 <= x <= 0
+
+
+def log_cf(x: Fraction) -> ContinuedFraction:
+    """1/((2x+1) -) 1^2/(3(2x+1) -) ... converging to (1/2) log(1 + 1/x),
+    for the x where :func:`log_limit_exists`."""
     x = Fraction(x)
-    if -1 <= x <= 0:
+    if not log_limit_exists(x):
         raise ValueError(f"log continued fraction needs x > 0 or x < -1, got {x}")
     b = RatFunc(Poly([-(2 * x + 1), 2 * (2 * x + 1)]))  # (2n-1)(2x+1)
     a = RatFunc(-(Poly([-1, 1]) ** 2))                  # -(n-1)^2

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log10
+from math import floor, log10
 from typing import Sequence
 
 import mpmath
@@ -468,44 +468,48 @@ def _float_quotient_limits(rec: Recurrence, inits: Sequence[Sequence[Fraction]],
                            precision: int) -> list[BigFloat]:
     """lim u(n)/a(n) for every initial vector in ``inits``, in one forward pass.
 
-    The primary a(n) and every u(n) step together in guarded float
-    arithmetic and share one integer coefficient row per step.  Forward
-    evaluation tracks the dominant solution, so relative error stays near
-    the working precision.  Each u keeps its own stopping rule: at the
-    first checkpoint where five extra steps moved its quotient by less than
-    the requested tolerance its limit is recorded and it stops stepping.
+    The primary a(n) and every u(n) step together in fixed point: each
+    keeps its last m terms as integer mantissas that share one binary
+    exponent, and all share one integer coefficient row per step.  When
+    the primary outgrows twice the mantissa width, every live sequence is
+    shifted right by the same amount.  Forward evaluation tracks the
+    dominant solution, so relative error stays near 2**-bits.  Each u keeps
+    its own stopping rule: at the first checkpoint where five extra steps
+    moved its quotient by less than 10**-(precision+8) its limit is
+    recorded and it stops stepping.
     """
     m = rec.order
-    dps = precision + 40
-    with mpmath.workdps(dps):
-        a, *us = [[to_mpf(v) for v in values] for values in [primary_init, *inits]]
-        last, out = [None] * len(us), [None] * len(us)
-        active = list(range(len(us)))
-        tol = mpf(10) ** (-(precision + 8))
-        n = m - 1
-        checkpoint = max(2 * m, 12)
-        while n < _FLOAT_MAX_TERMS:
-            base = n - m + 1
-            cs = rec.coeffs_at(base)
-            for seq in [a] + [us[j] for j in active]:
-                acc = mpf(0)
-                for k in range(m):
-                    acc += cs[k] * seq[base + k]
-                seq.append(-acc / cs[m])
-            n += 1
-            if n >= checkpoint:
-                if a[n] == 0:
-                    raise ZeroDenominatorTerm(n)
-                for j in list(active):
-                    cur = us[j][n] / a[n]
-                    if last[j] is not None and abs(cur - last[j]) < tol:
-                        out[j] = BigFloat(cur, precision)
-                        active.remove(j)
-                    last[j] = cur
-                if not active:
-                    return out
-                checkpoint = n + 5
-        raise NotConverging(f"quotient still moving after {_FLOAT_MAX_TERMS} terms")
+    bits = int((precision + 40) * 3.33) + 64
+    one, scale = 1 << bits, 10 ** (precision + 8)
+    a, *us = [[floor(Fraction(v) * one) for v in values] for values in [primary_init, *inits]]
+    last, out = [None] * len(us), [None] * len(us)
+    active = list(range(len(us)))
+    n = m - 1
+    checkpoint = max(2 * m, 12)
+    while n < _FLOAT_MAX_TERMS:
+        *cs, lead = rec.coeffs_at(n - m + 1)
+        live = [a] + [us[j] for j in active]
+        for seq in live:
+            seq.append(-sum(c * u for c, u in zip(cs, seq)) // lead)
+            del seq[0]
+        n += 1
+        if a[-1].bit_length() > 2 * bits:
+            shift = a[-1].bit_length() - bits
+            for seq in live:
+                seq[:] = [u >> shift for u in seq]
+        if n >= checkpoint:
+            if a[-1] == 0:
+                raise ZeroDenominatorTerm(n)
+            for j in list(active):
+                cur = (us[j][-1] << bits) // a[-1]
+                if last[j] is not None and abs(cur - last[j]) * scale < one:
+                    out[j] = BigFloat(Fraction(cur, one), precision)
+                    active.remove(j)
+                last[j] = cur
+            if not active:
+                return out
+            checkpoint = n + 5
+    raise NotConverging(f"quotient still moving after {_FLOAT_MAX_TERMS} terms")
 
 
 def solve_vanishing_init(rec: Recurrence, primary_init: Sequence[Fraction],

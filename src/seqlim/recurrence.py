@@ -422,20 +422,44 @@ class CharRoots:
         return f"CharRoots([{body}] @ {self.precision} digits)"
 
 
-def characteristic_roots(p: Poly, precision: int) -> CharRoots:
-    """All complex roots by ``mpmath.polyroots`` on the monic polynomial.
+def _square_free_parts(p: Poly) -> list[tuple[Poly, int]]:
+    """Pairwise coprime square-free f_k with p = lead * prod f_k**k (Yun).
 
-    The roots are refined at 15 digits beyond ``precision`` and the result
-    is rejected unless every residual |p(root)| is below 10**-(precision-10).
+    g_0 = p and g_k = gcd(g_(k-1), g_(k-1)'); s_k = g_(k-1)/g_k has the
+    roots of multiplicity >= k once each, so f_k = s_k/s_(k+1).  A
+    square-free p comes back unchanged as f_1.
+    """
+    layers, g = [], p
+    while g.degree >= 1:
+        h = g.gcd(Poly([k * c for k, c in enumerate(g.coeffs)][1:]))
+        layers.append(g.divmod(h)[0])
+        g = h
+    layers.append(Poly.const(1))
+    return [(s.divmod(t)[0], k) for k, (s, t) in enumerate(zip(layers, layers[1:]), 1)
+            if s.degree > t.degree]
+
+
+def characteristic_roots(p: Poly, precision: int) -> CharRoots:
+    """All complex roots, repeated by multiplicity, by ``mpmath.polyroots``.
+
+    Each square-free part of p (one part when p is square-free) is solved
+    as a monic polynomial and its roots repeated by their multiplicity, so
+    a repeated root costs no convergence.  The roots are refined at 15
+    digits beyond ``precision`` and the result is rejected unless every
+    residual |p(root)| is below 10**-(precision-10).
     """
     if p.degree < 1:
         raise ValueError("root finding needs a nonconstant polynomial")
     with mpmath.workdps(precision + 15):
+        roots = []
+        for f, k in _square_free_parts(p):
+            monic = [to_mpf(c / f.leading) for c in reversed(f.coeffs)]
+            try:
+                found = mpmath.polyroots(monic, maxsteps=200 * f.degree)
+            except mpmath.mp.NoConvergence as exc:
+                raise NoConvergence(f"root iteration did not settle: {exc}")
+            roots += [mpc(z) for z in found] * k
         coeffs = [to_mpf(c / p.leading) for c in reversed(p.coeffs)]
-        try:
-            roots = [mpc(z) for z in mpmath.polyroots(coeffs, maxsteps=200 * p.degree)]
-        except mpmath.mp.NoConvergence as exc:
-            raise NoConvergence(f"root iteration did not settle: {exc}")
         residuals = [abs(mpmath.polyval(coeffs, z)) for z in roots]
         if max(residuals) >= mpf(10) ** (10 - precision):
             raise NoConvergence("root residuals too large", residuals)

@@ -10,7 +10,7 @@ import pytest
 import seqlim.cli
 import seqlim.sums
 from seqlim.cli import main, render_json
-from seqlim.recurrence import guess_window
+from seqlim.recurrence import SolutionTable, guess_window
 
 
 def run_cli(capsys, *argv):
@@ -239,6 +239,34 @@ class TestLimit:
                                  "--recognize", basis)
         assert code == 2 and out == ""
         assert "unknown constant" in err
+
+    @pytest.mark.parametrize("x", ["0", "-1", "-1/2", "-1/3"])
+    def test_delannoy_x_without_a_limit_is_usage_error(self, capsys, monkeypatch, x):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a solution was stepped before the usage check")
+
+        monkeypatch.setattr(SolutionTable, "evaluate", no_work)
+        code, out, err = run_cli(capsys, "limit", "--rec", f"delannoy_x:x={x}",
+                                 "--digits", "30")
+        assert code == 2 and out == ""
+        assert "x > 0 or x < -1" in err
+
+    @pytest.mark.parametrize("x", ["-2", "-5/4", "1/3"])
+    def test_delannoy_x_outside_the_gap_has_a_limit(self, capsys, x):
+        code, out, err = run_cli(capsys, "limit", "--rec", f"delannoy_x:x={x}",
+                                 "--digits", "30")
+        assert code == 0, err
+        assert "certified_digits" in out
+
+    @pytest.mark.parametrize("x", ["0", "-1", "-1/2"])
+    def test_delannoy_x_terms_and_guess_work_in_the_gap(self, capsys, x):
+        code, _, err = run_cli(capsys, "family", "--family", "delannoy_x", f"--x={x}",
+                               "--n", "6")
+        assert code == 0, err
+        code, out, err = run_cli(capsys, "guess", "--terms-from", "delannoy_x", f"--x={x}",
+                                 "--max-order", "2", "--max-degree", "1")
+        assert code == 0, err
+        assert "order: " in out
 
     def test_basis_digit_threshold_is_accepted(self, capsys):
         code, out, err = run_cli(capsys, "limit", "--rec", "delannoy", "--digits", "80",
@@ -501,3 +529,31 @@ def test_only_the_guesser_loads_numpy():
     assert proc.returncode == 0, proc.stderr
     # after import and the catalog check, after a limit, after a guess
     assert proc.stdout.splitlines()[-1] == "loaded False False True"
+
+
+_OPENBLAS_PROBE = """
+import os
+import sys
+from fractions import Fraction
+
+import seqlim
+import seqlim.cli
+
+os.environ.pop("OPENBLAS_NUM_THREADS", None)
+seqlim.guess_recurrence([Fraction(3) ** n for n in range(30)], 1, 0)
+seen = [os.environ.get("OPENBLAS_NUM_THREADS")]
+guess = ["guess", "--terms-from", "delannoy", "--max-order", "2", "--max-degree", "1"]
+assert seqlim.cli.main(guess) == 0
+seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+os.environ["OPENBLAS_NUM_THREADS"] = "3"
+assert seqlim.cli.main(guess) == 0
+seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+print("seen", *seen, file=sys.stderr)
+"""
+
+
+def test_cli_defaults_openblas_to_one_thread():
+    proc = run_python("-c", _OPENBLAS_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    # after a library guess, after a CLI guess, after a CLI guess with a user value
+    assert proc.stderr.splitlines()[-1] == "seen None 1 3"

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -17,6 +18,7 @@ from seqlim.limits import (
     UnderdeterminedSolution,
     ZeroDenominatorTerm,
     _decimal_places,
+    _float_quotient_limits,
     apery_limit,
     difference_identity_check,
     difference_ratio_limit,
@@ -425,3 +427,84 @@ class TestSolveVanishingInit:
             ratio = (mpf(qbad.numerator) / mpf(qbad.denominator)) / mpmath.ln(2)
             nearest = mpmath.nint(ratio * 10**6) / 10**6
             assert abs(ratio - nearest) > mpf(10) ** -12
+
+
+def _mpf_quotient_limits(rec, inits, primary_init, precision, max_terms=6000):
+    """The mpf stepper that fixed-point stepping replaced, kept as a reference.
+
+    Every sequence steps in mpf at precision + 40 digits on the integer
+    coefficient rows, with the same checkpoints and stopping rule.
+    """
+    m = rec.order
+    with mpmath.workdps(precision + 40):
+        a, *us = [[to_mpf(F(v)) for v in values] for values in [primary_init, *inits]]
+        last, out = [None] * len(us), [None] * len(us)
+        active = list(range(len(us)))
+        tol = mpf(10) ** (-(precision + 8))
+        n, checkpoint = m - 1, max(2 * m, 12)
+        while n < max_terms:
+            base = n - m + 1
+            cs = rec.coeffs_at(base)
+            for seq in [a] + [us[j] for j in active]:
+                acc = mpf(0)
+                for k in range(m):
+                    acc += cs[k] * seq[base + k]
+                seq.append(-acc / cs[m])
+            n += 1
+            if n >= checkpoint:
+                for j in list(active):
+                    cur = us[j][n] / a[n]
+                    if last[j] is not None and abs(cur - last[j]) < tol:
+                        out[j] = BigFloat(cur, precision)
+                        active.remove(j)
+                    last[j] = cur
+                if not active:
+                    return out
+                checkpoint = n + 5
+    raise AssertionError("reference stepping did not converge")
+
+
+def _tertiary_setup(d, factor=None):
+    """The franel recurrence (times the polynomial ``factor``), its primary
+    start and the basis vectors that solve_vanishing_init steps."""
+    rec = guessed_family_recurrence(FamilySpec("franel", d=d))
+    if factor is not None:
+        rec = Recurrence([factor * c for c in rec.coeffs], offset=rec.offset)
+    m = rec.order
+    inits = [[F(0), F(1)] + [F(0)] * (m - 2)]
+    inits += [[F(int(i == j)) for i in range(m)] for j in range(2, m)]
+    return rec, family_terms(FamilySpec("franel", d=d), m - 1), inits
+
+
+class TestFixedPointQuotientLimits:
+    @pytest.mark.parametrize("factor", [None, Poly([-41, 2])], ids=["plain", "times_2n-41"])
+    @pytest.mark.parametrize("precision", [30, 70, 110, 150])
+    @pytest.mark.parametrize("d", range(3, 11))
+    def test_agrees_with_mpf_stepping(self, d, precision, factor):
+        # the factor 2n - 41 keeps the solutions and makes c_m(n) < 0 for n <= 20
+        rec, a_init, inits = _tertiary_setup(d, factor)
+        got = _float_quotient_limits(rec, inits, a_init, precision)
+        want = _mpf_quotient_limits(rec, inits, a_init, precision)
+        assert len(got) == len(want) == len(inits)
+        with mpmath.workdps(precision + 20):
+            for g, w in zip(got, want):
+                assert g.precision == precision
+                assert abs(g.val - w.val) <= mpf(10) ** -(precision + 2) * max(1, abs(w.val))
+
+    def test_mantissas_share_one_bounded_exponent(self, monkeypatch):
+        # each step reads the stepper's primary window before stepping it:
+        # the common right shift keeps it within twice the mantissa width
+        rec, a_init, inits = _tertiary_setup(10)
+        coeffs_at = Recurrence.coeffs_at
+        seen = []
+
+        def spy(self, n):
+            frame = sys._getframe(1)
+            if frame.f_code.co_name == "_float_quotient_limits":
+                seen.append(max(u.bit_length() for u in frame.f_locals["a"])
+                            / frame.f_locals["bits"])
+            return coeffs_at(self, n)
+
+        monkeypatch.setattr(Recurrence, "coeffs_at", spy)
+        _float_quotient_limits(rec, inits, a_init, 150)
+        assert len(seen) > 100 and max(seen) <= 2

@@ -439,6 +439,42 @@ class TestCharacteristic:
             assert abs(prod_c0 - 1) < mpf(10) ** -30
             assert abs(sum_c1 - 34) < mpf(10) ** -30
 
+    @pytest.mark.parametrize("factors, want", [
+        ([Poly([-1, 1])] * 3, [1, 1, 1]),
+        ([Poly([1, 0, 1])] * 2, [1j, 1j, -1j, -1j]),
+        ([Poly([-2, 1])] * 2 + [Poly([3, 1])], [2, 2, -3]),
+        ([Poly([F(1, 2), 1])] * 4 + [Poly([-1, 0, 1])] * 2, [-0.5] * 4 + [1, 1, -1, -1]),
+    ], ids=["(t-1)^3", "(t^2+1)^2", "(t-2)^2(t+3)", "(t+1/2)^4(t^2-1)^2"])
+    @pytest.mark.parametrize("precision", [20, 30, 60])
+    def test_repeated_roots_at_full_precision(self, factors, want, precision):
+        p = Poly([1])
+        for f in factors:
+            p = p * f
+        roots = characteristic_roots(p, precision)
+        assert len(roots.roots) == len(want) == p.degree
+        with mpmath.workdps(precision + 10):
+            left = [mpmath.mpc(z) for z in roots.roots]
+            for w in want:
+                # each exact root matches one returned root to full precision
+                i = min(range(len(left)), key=lambda k: abs(left[k] - w))
+                assert abs(left.pop(i) - w) < mpf(10) ** -precision
+
+    def test_square_free_polynomial_takes_one_polyroots_call(self, monkeypatch):
+        calls = []
+        polyroots = mpmath.polyroots
+
+        def counted(coeffs, **kwargs):
+            calls.append(len(coeffs) - 1)
+            return polyroots(coeffs, **kwargs)
+
+        monkeypatch.setattr(mpmath, "polyroots", counted)
+        p = characteristic_polynomial(guessed_family_recurrence(FamilySpec("franel", d=10)))
+        characteristic_roots(p, 30)
+        assert calls == [p.degree]
+        calls.clear()
+        characteristic_roots(Poly([-2, 1]) ** 2 * Poly([3, 1]), 30)
+        assert calls == [1, 1]  # t+3 (simple), then t-2 (double)
+
     @pytest.mark.parametrize("d", range(3, 11))
     def test_cubic_roots_recompose(self, d):
         rec = guessed_family_recurrence(FamilySpec("franel", d=d))
